@@ -1,17 +1,16 @@
 /**
  * @file
  * Ablation: how much of the graph API's bfs advantage does loop fusion
- * alone recover — and does the lazy non-blocking planner recover the
- * same fusion automatically?
+ * alone recover, when the lazy non-blocking planner builds the fusion
+ * from unfused source?
  *
  * The paper's Section VI proposes restructuring-compiler loop fusion
  * as the fix for the matrix API's lightweight-loop penalty. Variants:
  *
  *   gb        Algorithm 2 (vxm + nvals + assign per round)
- *   gb-fused  one hand-fused kernel per round, direction-optimized
- *             (la::bfs_fused dispatcher overload)
  *   gb-lazy   Algorithm 2 source run in non-blocking mode; the fusion
- *             planner builds the fused kernel from the recorded chain
+ *             planner runs each round's assign inside the SpMV
+ *             kernel's per-entry sink, direction-optimized
  *   ls        Algorithm 1 (the graph API's fused loop)
  *
  * Besides runtime the table reports bytes materialized per run (the
@@ -21,10 +20,8 @@
  * that the lazy planner actually fuses (fused_chains > 0) and saves
  * bytes versus the unfused baseline.
  *
- * Expected shape: gb-fused and gb-lazy land between gb and ls — fusion
- * removes the extra passes but not the worklist/scheduling advantages
- * — with gb-lazy within noise of gb-fused (same kernels, planner
- * overhead amortized over whole rounds).
+ * Expected shape: gb-lazy lands between gb and ls — fusion removes
+ * the extra passes but not the worklist/scheduling advantages.
  */
 
 #include "bench_common.h"
@@ -64,9 +61,8 @@ main()
     core::Table table(
         "Loop-fusion ablation (bfs): speedup over gb, bytes "
         "materialized per run, lazy fused-chain count");
-    table.set_header({"graph", "gb", "gb-fused", "gb-lazy", "ls",
-                      "gb bytes", "fused bytes", "lazy bytes",
-                      "lazy chains"});
+    table.set_header({"graph", "gb", "gb-lazy", "ls", "gb bytes",
+                      "lazy bytes", "lazy chains"});
 
     std::vector<bench::JsonRecord> records;
 
@@ -79,9 +75,6 @@ main()
         grb::BackendScope scope(grb::Backend::kParallel);
         const double gb = bench::timed_seconds(
             config.reps, [&] { la::bfs(A, input.source); });
-        const double fused = bench::timed_seconds(config.reps, [&] {
-            la::bfs_fused(A, At, input.source);
-        });
         const double lazy = bench::timed_seconds(config.reps, [&] {
             la::bfs_lazy(A, At, input.source);
         });
@@ -95,27 +88,20 @@ main()
         // instead, which the timed reps above are free to exploit).
         const auto gb_counters =
             counted_run([&] { la::bfs(A, input.source); });
-        const auto fused_counters = counted_run([&] {
-            la::bfs_fused(A, At, input.source, grb::Direction::kPush);
-        });
         const auto lazy_counters = counted_run([&] {
             la::bfs_lazy(A, At, input.source, grb::Direction::kPush);
         });
 
         const uint64_t gb_bytes =
             gb_counters[metrics::kBytesMaterialized];
-        const uint64_t fused_bytes =
-            fused_counters[metrics::kBytesMaterialized];
         const uint64_t lazy_bytes =
             lazy_counters[metrics::kBytesMaterialized];
         const uint64_t lazy_chains =
             lazy_counters[metrics::kFusedChains];
 
-        table.add_row({name, "1.00x", bench::speedup_str(gb, fused),
-                       bench::speedup_str(gb, lazy),
+        table.add_row({name, "1.00x", bench::speedup_str(gb, lazy),
                        bench::speedup_str(gb, ls_time), mib_str(gb_bytes),
-                       mib_str(fused_bytes), mib_str(lazy_bytes),
-                       std::to_string(lazy_chains)});
+                       mib_str(lazy_bytes), std::to_string(lazy_chains)});
 
         const auto record = [&](const char* api, double seconds,
                                 const metrics::Snapshot& counters) {
@@ -137,7 +123,6 @@ main()
             records.push_back(std::move(r));
         };
         record("gb", gb, gb_counters);
-        record("gb-fused", fused, fused_counters);
         record("gb-lazy", lazy, lazy_counters);
     }
 

@@ -54,8 +54,7 @@ bool
 is_compute_op(const char* name)
 {
     static constexpr const char* kComputeOps[] = {
-        "vxm",        "mxv",      "mxv_sparse", "vxm_fused_assign",
-        "vxm_fused",  "mxv_fused", "ewise_fused_assign",
+        "vxm",        "mxv",      "mxv_sparse", "ewise_fused_assign",
         "ewise_mult_select",
         "mxm_masked_dot", "mxm_saxpy", "mxm_dot",
     };

@@ -58,10 +58,12 @@ grb::Vector<uint32_t> bfs_pushpull(const grb::Matrix<uint8_t>& A,
 /**
  * bfs with the direction chosen per round by grb::SpmvDispatcher's
  * cost model (frontier out-degree vs. masked pull candidates, with
- * hysteresis). Maintains a sorted sparse visited vector as a
- * structural complement mask so pull rounds run the mask-driven
- * mxv_sparse kernel with first-hit early exit. @p force overrides the
- * cost model (the ablation bench's forced-push / forced-pull modes).
+ * hysteresis). Maintains a dense visited vector whose presence
+ * bitmap holds exactly the discovered vertices and uses it as a
+ * structural complement mask, so pull rounds run the full-height mxv
+ * over @p At, skipping visited rows and stopping each row scan at the
+ * first frontier parent. @p force overrides the cost model (the
+ * ablation bench's forced-push / forced-pull modes).
  */
 grb::Vector<uint32_t> bfs_auto(const grb::Matrix<uint8_t>& A,
                                const grb::Matrix<uint8_t>& At,
@@ -69,32 +71,13 @@ grb::Vector<uint32_t> bfs_auto(const grb::Matrix<uint8_t>& A,
                                grb::Direction force = grb::Direction::kAuto);
 
 /**
- * bfs built on the fused vxm+assign composite kernel (not expressible
- * in standard GraphBLAS; see grb::vxm_fused_assign). Demonstrates the
- * loop-fusion future work of the paper's Section VI: one kernel call
- * per round instead of three.
- */
-grb::Vector<uint32_t> bfs_fused(const grb::Matrix<uint8_t>& A,
-                                grb::Index source);
-
-/**
- * bfs_fused with the fused round routed through grb::SpmvDispatcher's
- * direction cost model: push rounds run the fused vxm+assign kernel,
- * pull rounds the fused mxv+assign kernel over @p At, and the previous
- * frontier's storage is recycled into the next round's output.
- * @p force overrides the cost model (ablation modes).
- */
-grb::Vector<uint32_t> bfs_fused(const grb::Matrix<uint8_t>& A,
-                                const grb::Matrix<uint8_t>& At,
-                                grb::Index source,
-                                grb::Direction force = grb::Direction::kAuto);
-
-/**
  * bfs written as plain dispatch_spmv + assign_scalar rounds in
  * non-blocking mode: the lazy fusion planner recognizes the chain and
- * builds the same fused kernel bfs_fused() hand-codes. Identical
- * output to bfs_fused(); exists to demonstrate (and test) that the
- * expression layer recovers hand fusion from unfused source.
+ * runs the assign inside the SpMV kernel's per-entry sink, one pass per
+ * round, with the direction chosen by grb::SpmvDispatcher and the
+ * previous frontier's storage recycled. The loop-fusion future work of
+ * the paper's Section VI, recovered from unfused source. Identical
+ * output to bfs(). @p force overrides the cost model (ablation modes).
  */
 grb::Vector<uint32_t> bfs_lazy(const grb::Matrix<uint8_t>& A,
                                const grb::Matrix<uint8_t>& At,

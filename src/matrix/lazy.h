@@ -17,9 +17,10 @@
  *
  * Recognized chains (all counted by kFusedChains):
  *
- *  - dispatch_spmv/mxv + apply        -> per-entry transform hook
+ *  - dispatch_spmv/mxv + apply        -> per-entry transform in the
+ *                                        SpMV kernel's sink
  *  - dispatch_spmv/mxv + assign_scalar masked by the SpMV output into
- *    the SpMV's own mask vector       -> fused_spmv_assign shape
+ *    the SpMV's own mask vector (the BFS round) -> assign in the sink
  *  - eWiseMult/eWiseAdd (dense-dense) + assign_scalar masked by the
  *    result                           -> fused_ewise_assign
  *  - eWiseMult + select_entries       -> fused_ewise_mult_select
@@ -58,6 +59,7 @@
 #include <optional>
 
 #include "matrix/lazy_registry.h"
+#include "matrix/ops_dispatch.h"
 #include "matrix/ops_fused.h"
 #include "support/faults.h"
 
@@ -75,8 +77,8 @@ class LazyVector;
  * called at most once per distinct index; finish() runs once after the
  * kernel (e.g. fix up the target's nvals). Unset members are skipped.
  *
- * Lives here rather than in ops_fused.h because type erasure is a
- * record-time planner concern: the hot kernels themselves are
+ * Lives here rather than in the kernel headers because type erasure
+ * is a record-time planner concern: the hot kernels themselves are
  * templated on the sink (gaslint: gas-std-function-in-kernel).
  */
 struct AssignSink
@@ -197,7 +199,7 @@ make_assign_sink(Vector<MT>& target, MT value)
 /**
  * A vector handle whose contents may be an unevaluated expression.
  *
- * Owns the materialized value, a spare buffer the fused kernels
+ * Owns the materialized value, a spare buffer the SpMV kernels
  * recycle round over round (the main source of the non-blocking mode's
  * kBytesMaterialized savings), and at most one pending node. All
  * reading accessors are materialization points. Handles register with
@@ -401,8 +403,8 @@ dispatch_spmv(SpmvDispatcher<T>& dispatcher, LazyVector<T>& w,
         if (state->has_assign && state->sink.prepare) {
             state->sink.prepare();
         }
-        dispatch_spmv_fused<Semiring>(*dp, wp->storage(), mask, desc,
-                                      *up, extras, &wp->spare());
+        dp->template dispatch_spmv<Semiring>(wp->storage(), mask, desc,
+                                             *up, extras, &wp->spare());
         if (state->has_assign && state->sink.finish) {
             state->sink.finish();
         }
@@ -510,6 +512,7 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         if (state->has_assign && state->sink.prepare) {
             state->sink.prepare();
         }
+        const Vector<T>* operand = &up->storage();
         if (mult.has_value()) {
             // The subsumed producer's product, computed into u's
             // recycled spare buffer: no fresh intermediate is ever
@@ -520,30 +523,10 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
             ewise_mult_recycle(scratch, up->size(), mult->a_present,
                                mult->a_vals, mult->b_present,
                                mult->b_vals, mult->fn);
-            mxv_fused<Semiring>(
-                wp->storage(), mask, desc, *ap,
-                DirectUView<T>{scratch.dense_presence().data(),
-                               scratch.dense_values().data(),
-                               scratch.nvals() ==
-                                   static_cast<Nnz>(scratch.size())},
-                extras, &wp->spare());
-        } else {
-            const Vector<T>& uv = up->storage();
-            const Vector<T>* view = &uv;
-            Vector<T> dense_copy;
-            if (uv.format() != VectorFormat::kDense) {
-                dense_copy = uv;
-                dense_copy.densify();
-                view = &dense_copy;
-            }
-            mxv_fused<Semiring>(
-                wp->storage(), mask, desc, *ap,
-                DirectUView<T>{view->dense_presence().data(),
-                               view->dense_values().data(),
-                               view->nvals() ==
-                                   static_cast<Nnz>(view->size())},
-                extras, &wp->spare());
+            operand = &scratch;
         }
+        grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, *operand,
+                           extras, &wp->spare());
         if (state->has_assign && state->sink.finish) {
             state->sink.finish();
         }
@@ -753,8 +736,8 @@ select_entries(LazyVector<T>& w, LazyVector<T>& u, Pred&& pred)
  * fusable shapes:
  *
  *  - mask is a pending SpMV whose own mask operand *is* target (the
- *    BFS round): the assign is absorbed into the SpMV's per-entry hook
- *    (fused_spmv_assign semantics).
+ *    BFS round): the assign is absorbed into the SpMV's per-entry
+ *    sink.
  *  - mask is a pending dense-dense eWise op: the assign rides the
  *    element-wise loop (fused_ewise_assign).
  *

@@ -42,9 +42,8 @@ backend_sorts_outputs()
 /**
  * The one true mask-entry truth test (GrB mask semantics).
  *
- * Every mask consumer — MaskView below, the dispatcher's candidate
- * counting, and the fused kernels' inline per-edge skips — must agree
- * on this predicate, or fused and unfused pipelines diverge on
+ * Every mask consumer — MaskView below and the dispatcher's candidate
+ * counting — must agree on this predicate, or kernels diverge on
  * structural/complement descriptors. Keep it in one place.
  */
 template <typename MT>
@@ -120,10 +119,15 @@ class MaskView
     std::optional<Vector<MT>> copy_;
 };
 
-/// Specialization tag for "no mask": NoMask{} can be passed wherever a
-/// Vector<MT>* mask is expected.
-struct NoMask
+/// Default per-entry sink of the SpMV kernels (ops_spmv.h): does
+/// nothing, so a plain product compiles to the sink-free loop.
+struct NoSink
 {
+    template <typename T>
+    void
+    operator()(Index, T&) const noexcept
+    {
+    }
 };
 
 /// Atomically fold @p value into @p slot with the semiring add.

@@ -67,22 +67,24 @@ class SpmvDispatcher
     }
 
     /// w<mask> = u * A, direction chosen per call. Returns the
-    /// direction actually executed.
-    template <typename Semiring, typename MT = uint8_t>
+    /// direction actually executed. @p sink and @p recycle are passed
+    /// through to whichever kernel runs (see ops_spmv.h).
+    template <typename Semiring, typename MT = uint8_t,
+              typename Sink = NoSink>
     Direction
     dispatch_spmv(Vector<T>& w, const Vector<MT>* mask,
-                  const Descriptor& desc, const Vector<T>& u)
+                  const Descriptor& desc, const Vector<T>& u,
+                  const Sink& sink = {}, Vector<T>* recycle = nullptr)
     {
         const Direction dir = choose<Semiring>(mask, desc, u);
         if (dir == Direction::kPush) {
-            vxm<Semiring>(w, mask, desc, u, *A_);
+            vxm<Semiring>(w, mask, desc, u, *A_, sink, recycle);
+        } else if (mask != nullptr &&
+                   mask->format() == VectorFormat::kSparse) {
+            mxv_sparse<FlipMul<Semiring>>(w, *mask, desc, *At_, u, sink,
+                                          recycle);
         } else {
-            if (mask != nullptr &&
-                mask->format() == VectorFormat::kSparse) {
-                mxv_sparse<FlipMul<Semiring>>(w, *mask, desc, *At_, u);
-            } else {
-                mxv<FlipMul<Semiring>>(w, mask, desc, *At_, u);
-            }
+            mxv<FlipMul<Semiring>>(w, mask, desc, *At_, u, sink, recycle);
         }
         note_executed(dir);
         return dir;
@@ -100,24 +102,12 @@ class SpmvDispatcher
     /// Direction the most recent dispatch executed.
     Direction last_direction() const { return last_; }
 
-    /**
-     * Price both directions for the next product without running it.
-     * This is the same decision dispatch_spmv makes internally; the
-     * fused kernels in ops_fused.h call it so composite chains get the
-     * identical direction policy (hysteresis included) instead of
-     * regressing to pure push.
-     */
-    template <typename Semiring, typename MT = uint8_t>
-    Direction
-    plan(const Vector<MT>* mask, const Descriptor& desc,
-         const Vector<T>& u) const
-    {
-        return choose<Semiring>(mask, desc, u);
-    }
+  private:
+    /// The non-current direction must be this factor cheaper to flip.
+    static constexpr double kHysteresis = 1.5;
 
-    /// Record that a planned direction was actually executed (by this
-    /// dispatcher or by a fused kernel acting on its behalf): bumps the
-    /// push/pull round counters and updates the hysteresis state.
+    /// Record an executed direction: bumps the push/pull round counters
+    /// and updates the hysteresis state.
     void
     note_executed(Direction dir)
     {
@@ -125,16 +115,6 @@ class SpmvDispatcher
                                               : metrics::kSpmvPullRounds);
         last_ = dir;
     }
-
-    /// The forward (vxm/push) matrix.
-    const Matrix<T>& matrix() const { return *A_; }
-
-    /// The registered transpose, or nullptr for push-only dispatchers.
-    const Matrix<T>* transpose() const { return At_; }
-
-  private:
-    /// The non-current direction must be this factor cheaper to flip.
-    static constexpr double kHysteresis = 1.5;
 
     template <typename Semiring, typename MT>
     Direction

@@ -2,54 +2,31 @@
 
 /**
  * @file
- * Fused composite kernels: single-pass implementations of the operator
- * chains the lazy planner (src/matrix/lazy.h) recognizes.
+ * Fused element-wise composites: single-pass implementations of the
+ * eWise chains the lazy planner (src/matrix/lazy.h) recognizes.
  *
  * The paper's limitation #1 for the matrix API is forced
  * materialization: every GrB_* call writes a full output object, so a
- * chain like vxm -> assign or eWiseMult -> select streams each
- * intermediate through memory once on the way out and once on the way
- * back in. These kernels collapse such chains:
+ * chain like eWiseMult -> select streams each intermediate through
+ * memory once on the way out and once on the way back in. These
+ * kernels collapse such chains:
  *
- *  - vxm_fused / mxv_fused run one SpMV and invoke a caller-supplied
- *    per-entry hook ("extras") on every emitted output entry while it
- *    is still in registers — the hook is where a downstream apply
- *    (value transform) or masked assign (side effect into another
- *    vector) lands.
- *  - dispatch_spmv_fused routes the fused SpMV through the
- *    direction-optimizing dispatcher so composite chains get the exact
- *    push/pull pricing, mask-skip, and early-exit behavior of plain
- *    dispatch_spmv instead of regressing to pure push (the historic
- *    vxm_fused_assign bug).
- *  - fused_spmv_assign is the traversal composite (SpMV + masked
- *    scalar assign into the mask vector itself, i.e. one BFS round).
  *  - fused_ewise_assign / fused_ewise_mult_select are the element-wise
  *    composites (eWise feeding a masked assign, eWiseMult feeding a
  *    select) with the intermediate vector never materialized.
+ *  - ewise_mult_recycle builds the eWiseMult operand of a fused
+ *    eWiseMult -> mxv chain in recycled storage.
  *
- * All kernels accept an optional recycle buffer: the output is built
- * into the recycled storage and the previous output's storage is handed
- * back, so a round-based algorithm's per-round output stops being a
- * fresh allocation. Combined with Vector's capacity-watermark
- * accounting this is what makes kBytesMaterialized drop under fusion:
- * reused capacity is simply never charged again.
+ * SpMV chains need no kernel here: vxm / mxv / mxv_sparse and
+ * SpmvDispatcher::dispatch_spmv take the per-entry sink and recycle
+ * buffer themselves (ops_spmv.h).
  */
 
-#include "matrix/ops_dispatch.h"
+#include <optional>
+
 #include "matrix/ops_vector.h"
 
 namespace gas::grb {
-
-/// Dense operand of a pull-style product: u's presence and value
-/// arrays, plus whether every entry is present (which lets the row
-/// scan drop its per-edge presence probe).
-template <typename T>
-struct DirectUView
-{
-    const uint8_t* present;
-    const T* vals;
-    bool all_present;
-};
 
 /**
  * Dense-dense eWiseMult into recycled dense storage: the input-
@@ -69,6 +46,7 @@ ewise_mult_recycle(Vector<T>& result, Index n, const uint8_t* a_present,
 {
     trace::Span span(trace::Category::kGrb, "ewise_mult", n);
     metrics::bump(metrics::kPasses);
+    result.clear_keep_capacity(n);
     result.dense_values().assign(n, T{});
     result.dense_presence().assign(n, 0);
     result.set_format(VectorFormat::kDense);
@@ -94,392 +72,6 @@ ewise_mult_recycle(Vector<T>& result, Index n, const uint8_t* a_present,
         backend_schedule());
     result.set_dense_nvals(count.load());
     result.charge_materialized();
-}
-
-/**
- * Push-style fused SpMV: w<mask> = u * A with a per-entry hook.
- *
- * Identical semantics to vxm (replace on w, sparse output, backend
- * ordering), plus: a dense mask is additionally tested per scattered
- * edge so masked-out columns never enter the accumulator, and @p extras
- * is invoked as extras(j, value) on each entry that survives the mask,
- * before the entry is written. @p recycle, when non-null, donates its
- * storage to the output and receives w's old storage back.
- */
-template <typename Semiring, typename T, typename MT = uint8_t,
-          typename Extras>
-void
-vxm_fused(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
-          const Vector<T>& u, const Matrix<T>& A, Extras&& extras,
-          Vector<T>* recycle = nullptr)
-{
-    GAS_CHECK(u.size() == A.nrows(), "vxm_fused dimension mismatch");
-    GAS_CHECK(recycle != &w, "vxm_fused: recycle must not alias w");
-    trace::Span span(trace::Category::kGrb, "vxm_fused", u.nvals());
-    metrics::bump(metrics::kPasses);
-
-    auto& spa = SpaWorkspace<T, Semiring>::get(A.ncols());
-    T* const acc = spa.values();
-    uint8_t* const occ = spa.occupied();
-    rt::InsertBag<Index> touched;
-
-    // Per-edge mask skip: a dense mask is O(1)-testable in place, so
-    // ruled-out columns are dropped before they cost an accumulator
-    // CAS. (Sparse masks are only applied at compaction below; the
-    // binary search per edge would cost more than it saves.)
-    const bool edge_mask =
-        mask != nullptr && mask->format() == VectorFormat::kDense;
-    const uint8_t* const mpresent =
-        edge_mask ? mask->dense_presence().data() : nullptr;
-    const MT* const mvals =
-        edge_mask ? mask->dense_values().data() : nullptr;
-
-    // Scatter one row; only edges that survive the mask are
-    // accumulator writes. The row loop (bitmap probe included) is
-    // plain vxm's.
-    auto scatter_row = [&](Index i, T x) {
-        uint64_t writes = 0;
-        const Nnz begin = A.row_begin(i);
-        const Nnz end = A.row_end(i);
-        for (Nnz e = begin; e < end; ++e) {
-            const Index j = A.col_at(e);
-            if (edge_mask &&
-                !mask_entry_true(mpresent[j] != 0, mvals[j],
-                                 desc.structural_mask,
-                                 desc.mask_complement)) {
-                continue;
-            }
-            const T product = Semiring::mul(x, A.val_at(e));
-            atomic_accum(acc[j], product, [](T a, T b) {
-                return Semiring::add(a, b);
-            });
-            ++writes;
-            if (atomic_claim(occ[j])) {
-                touched.push(j);
-            }
-        }
-        return writes;
-    };
-    detail::for_each_push_row(u, A, scatter_row);
-
-    // Compact with the mask, running the fused hook on each survivor.
-    // touched holds each column at most once (atomic_claim), so
-    // extras(j, .) is called at most once per index.
-    const MaskView<MT> view(mask, desc);
-    rt::InsertBag<std::pair<Index, T>> output;
-    touched.parallel_apply([&](Index j) {
-        if (view.test(j)) {
-            T value = acc[j];
-            extras(j, value);
-            output.push({j, value});
-        }
-    });
-    spa.reset(touched);
-
-    Vector<T> result(A.ncols());
-    if (recycle != nullptr) {
-        result = std::move(*recycle);
-        result.clear_keep_capacity(A.ncols());
-    }
-    auto& oidx = result.sparse_indices();
-    auto& ovals = result.sparse_values();
-    oidx.reserve(output.size());
-    ovals.reserve(output.size());
-    output.for_each([&](const std::pair<Index, T>& entry) {
-        oidx.push_back(entry.first);
-        ovals.push_back(entry.second);
-    });
-    result.set_format(VectorFormat::kSparse);
-    result.set_sorted(false);
-    if (backend_sorts_outputs()) {
-        result.sort_entries();
-    }
-    result.charge_materialized();
-    if (recycle != nullptr) {
-        // Hand w's old storage back only after all reads of u are done
-        // (u may alias w in round-based callers).
-        *recycle = std::move(w);
-    }
-    w = std::move(result);
-}
-
-/**
- * Pull-style fused SpMV over a dense operand:
- * w<mask> = A * u with w(i) = add_j mul(A(i,j), u(j)), @p extras
- * invoked on each emitted row entry. Same row scan (mask skip,
- * presence-free loop for a fully present u, absorbing-element early
- * exit) as plain mxv; dense output.
- *
- * Format-aware like plain mxv: @p sell_sweep, with a fully present u,
- * unlocks the SELL + SIMD slice sweep (extras applied in the emit
- * hook, still pre-store); a row bitmap drives the row loop over
- * nonempty rows only.
- */
-template <typename Semiring, typename T, typename MT, typename Extras>
-void
-mxv_fused(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
-          const Matrix<T>& A, DirectUView<T> u, Extras&& extras,
-          Vector<T>* recycle = nullptr, bool sell_sweep = false)
-{
-    GAS_CHECK(recycle != &w, "mxv_fused: recycle must not alias w");
-    trace::Span span(trace::Category::kGrb, "mxv_fused", A.nrows());
-    metrics::bump(metrics::kPasses);
-
-    Vector<T> result(A.nrows());
-    if (recycle != nullptr) {
-        result = std::move(*recycle);
-        result.clear_keep_capacity(A.nrows());
-    }
-    // Build the dense arrays with assign (not densify) so a recycled
-    // buffer's capacity is actually reused instead of reallocated.
-    result.dense_values().assign(A.nrows(), T{});
-    result.dense_presence().assign(A.nrows(), uint8_t{0});
-    result.set_format(VectorFormat::kDense);
-    result.set_dense_nvals(0);
-    auto& out = result.dense_values();
-    auto& present = result.dense_presence();
-    const MaskView<MT> view(mask, desc);
-    std::atomic<Nnz> count{0};
-
-    const StorageFormat fmt = A.storage_format();
-
-    // SELL + SIMD fast path, as in plain mxv; extras runs inside the
-    // emit hook so the fused semantics (hook before the store) hold.
-    bool simd_done = false;
-    if constexpr (simd::kHasSimd<Semiring> && !HasAbsorbing<Semiring>) {
-        // Unlike plain mxv, the fallthrough here is a fully scalar
-        // scan (no within-row SIMD variant of the fused hook), so the
-        // sweep is taken whenever it is legal — prefer_sell_sweep's
-        // long-row exception has no better path to defer to.
-        if (fmt == StorageFormat::kSell && sell_sweep && u.all_present &&
-            simd::simd_enabled() && simd::simd_cols_ok(A.ncols())) {
-            const auto& sell = A.sell_slices();
-            rt::do_all_blocked(
-                sell.num_slices(),
-                [&](rt::Range range) {
-                    Nnz local = 0;
-                    uint64_t skipped_rows = 0;
-                    simd::SimdStats stats;
-                    simd::sell_sweep_avx2<Semiring>(
-                        sell, static_cast<Index>(range.begin),
-                        static_cast<Index>(range.end), u.vals,
-                        [&](Index i) {
-                            if (view.test(i)) {
-                                return true;
-                            }
-                            ++skipped_rows;
-                            return false;
-                        },
-                        [&](Index i, T value) {
-                            extras(i, value);
-                            out[i] = value;
-                            present[i] = 1;
-                            ++local;
-                        },
-                        stats);
-                    count.fetch_add(local, std::memory_order_relaxed);
-                    metrics::bump(metrics::kLabelWrites, local);
-                    metrics::bump(metrics::kEdgeVisits, stats.visited);
-                    metrics::bump(metrics::kWorkItems, stats.visited);
-                    metrics::bump(metrics::kLabelReads, stats.visited);
-                    if (mask != nullptr) {
-                        metrics::bump(metrics::kMaskSkippedRows,
-                                      skipped_rows);
-                    }
-                    metrics::bump(metrics::kSimdLanesActive,
-                                  stats.lanes_active);
-                    metrics::bump(metrics::kSimdLaneSlots,
-                                  stats.lane_slots);
-                },
-                backend_schedule());
-            simd_done = true;
-        }
-    }
-
-    auto scan_rows = [&](rt::Range range, auto row_at) {
-        Nnz local = 0;
-        uint64_t skipped_rows = 0;
-        detail::PullTally tally;
-        for (std::size_t ri = range.begin; ri < range.end; ++ri) {
-            const Index i = row_at(ri);
-            if (!view.test(i)) {
-                ++skipped_rows;
-                continue;
-            }
-            // No within-row SIMD variant of the fused hook: scalar scan.
-            T value{};
-            if (detail::pull_row_scan<Semiring>(A, i, u.present, u.vals,
-                                                u.all_present, false,
-                                                value, tally)) {
-                extras(i, value);
-                out[i] = value;
-                present[i] = 1;
-                ++local;
-            }
-        }
-        count.fetch_add(local, std::memory_order_relaxed);
-        metrics::bump(metrics::kLabelWrites, local);
-        if (mask != nullptr) {
-            metrics::bump(metrics::kMaskSkippedRows, skipped_rows);
-        }
-        tally.flush();
-    };
-
-    if (simd_done) {
-        // Output already built by the slice sweep.
-    } else if (fmt == StorageFormat::kBitmapCsr) {
-        const auto rows = A.row_bitmap().nonempty_rows();
-        metrics::bump(metrics::kRowsSkippedBitmap,
-                      static_cast<uint64_t>(A.nrows()) - rows.size());
-        rt::do_all_blocked(
-            rows.size(),
-            [&](rt::Range range) {
-                scan_rows(range, [&](std::size_t ri) { return rows[ri]; });
-            },
-            backend_schedule());
-    } else {
-        rt::do_all_blocked(
-            A.nrows(),
-            [&](rt::Range range) {
-                scan_rows(range, [](std::size_t ri) {
-                    return static_cast<Index>(ri);
-                });
-            },
-            backend_schedule());
-    }
-    result.set_dense_nvals(count.load());
-    result.charge_materialized();
-    if (recycle != nullptr) {
-        *recycle = std::move(w);
-    }
-    w = std::move(result);
-}
-
-/**
- * Direction-optimized fused SpMV: plan through the dispatcher, run the
- * fused kernel for the chosen direction, and record the outcome so the
- * dispatcher's hysteresis state stays coherent with plain dispatches.
- *
- * vxm orientation (w = u * A); the pull path uses the dispatcher's
- * transpose with FlipMul, exactly like SpmvDispatcher::dispatch_spmv.
- * The pull + sparse-mask shape keeps mxv_sparse's candidate enumeration
- * and applies @p extras in a post-pass over the (already compacted)
- * output — still one logical operation, no intermediate beyond the
- * output itself.
- */
-template <typename Semiring, typename T, typename MT, typename Extras>
-Direction
-dispatch_spmv_fused(SpmvDispatcher<T>& dispatcher, Vector<T>& w,
-                    const Vector<MT>* mask, const Descriptor& desc,
-                    const Vector<T>& u, Extras&& extras,
-                    Vector<T>* recycle = nullptr)
-{
-    const Direction dir =
-        dispatcher.template plan<Semiring>(mask, desc, u);
-    if (dir == Direction::kPush) {
-        vxm_fused<Semiring>(w, mask, desc, u, dispatcher.matrix(),
-                            extras, recycle);
-    } else {
-        const Matrix<T>& At = *dispatcher.transpose();
-        if (mask != nullptr &&
-            mask->format() == VectorFormat::kSparse) {
-            mxv_sparse<FlipMul<Semiring>>(w, *mask, desc, At, u);
-            auto& ovals = w.sparse_values();
-            const auto& oidx = w.sparse_indices();
-            for (std::size_t k = 0; k < oidx.size(); ++k) {
-                extras(oidx[k], ovals[k]);
-            }
-        } else {
-            const Vector<T>* uview = &u;
-            Vector<T> dense_copy;
-            if (u.format() != VectorFormat::kDense) {
-                dense_copy = u;
-                dense_copy.densify();
-                uview = &dense_copy;
-            }
-            // A fully present operand unlocks the SELL + SIMD sweep.
-            mxv_fused<FlipMul<Semiring>>(
-                w, mask, desc, At,
-                DirectUView<T>{uview->dense_presence().data(),
-                               uview->dense_values().data(),
-                               uview->nvals() ==
-                                   static_cast<Nnz>(uview->size())},
-                extras, recycle, true);
-        }
-    }
-    dispatcher.note_executed(dir);
-    return dir;
-}
-
-/**
- * The traversal composite: one direction-optimized SpMV plus a masked
- * scalar assign into the assign target, which is also the SpMV's mask.
- * Eager equivalent:
- *
- *   dispatch_spmv<Semiring>(w, &target, desc, u);      // e.g. frontier
- *   assign_scalar(target, &w, kDefaultDesc, value);    // e.g. levels
- *
- * The assign half uses w as a value mask (structural with
- * @p structural_assign), so entries whose emitted value is the scalar
- * zero assign nothing — identical to eager assign_scalar semantics.
- * @p target must be dense (traversal label vectors are).
- */
-template <typename Semiring, typename T, typename MT>
-Direction
-fused_spmv_assign(SpmvDispatcher<T>& dispatcher, Vector<T>& w,
-                  Vector<MT>& target, const Descriptor& desc,
-                  MT assign_value, const Vector<T>& u,
-                  bool structural_assign = false,
-                  Vector<T>* recycle = nullptr)
-{
-    GAS_CHECK(target.format() == VectorFormat::kDense,
-              "fused_spmv_assign requires a dense assign target");
-    auto& tvals = target.dense_values();
-    auto& tpresent = target.dense_presence();
-    std::atomic<Nnz> added{0};
-    auto extras = [&](Index j, T& v) {
-        if (!structural_assign && v == T{0}) {
-            return;
-        }
-        if (tpresent[j] == 0) {
-            tpresent[j] = 1;
-            added.fetch_add(1, std::memory_order_relaxed);
-        }
-        tvals[j] = assign_value;
-        metrics::bump(metrics::kLabelWrites);
-        metrics::bump(metrics::kWorkItems);
-    };
-    const Direction dir = dispatch_spmv_fused<Semiring>(
-        dispatcher, w, &target, desc, u, extras, recycle);
-    target.set_dense_nvals(target.nvals() + added.load());
-    return dir;
-}
-
-/**
- * Backward-compatible fused BFS-style step:
- *
- *   w           = u * A, masked to columns with no entry in
- *                 assign_target (complement mask, replace)
- *   assign_target(j) = assign_value wherever w emitted a non-zero
- *
- * Historic entry point kept for callers that own only the forward
- * matrix. Two fixes over the original ad-hoc kernel: the mask test is
- * the shared descriptor-driven predicate (kComplementReplaceDesc)
- * instead of a hand-rolled complement probe, and execution routes
- * through a dispatcher so the counters and hysteresis behave like
- * every other SpMV. With no transpose registered this still always
- * pushes; pass a dispatcher to fused_spmv_assign to direction-optimize.
- */
-template <typename Semiring, typename T, typename MT>
-void
-vxm_fused_assign(Vector<T>& w, Vector<MT>& assign_target, MT assign_value,
-                 const Vector<T>& u, const Matrix<T>& A)
-{
-    trace::Span span(trace::Category::kGrb, "vxm_fused_assign",
-                     u.nvals());
-    SpmvDispatcher<T> push_only(A);
-    fused_spmv_assign<Semiring>(push_only, w, assign_target,
-                                kComplementReplaceDesc, assign_value, u);
 }
 
 /**

@@ -23,6 +23,19 @@
  * it iterates only candidate rows (mask support, or its sorted
  * complement) instead of all n, producing a sparse output.
  *
+ * Each kernel takes two optional trailing parameters, which is how the
+ * lazy planner (matrix/lazy.h) fuses a downstream apply or masked
+ * assign into the product instead of running a second pass:
+ *
+ *  - sink(i, value) runs on every output entry after the mask and
+ *    before the entry is stored; it may rewrite the value. It can run
+ *    on worker threads, at most once per index. The default NoSink
+ *    compiles away.
+ *  - recycle, when non-null, donates its storage to the output and
+ *    receives w's old storage back, so a round-based algorithm's
+ *    per-round output stops being a fresh allocation (the capacity
+ *    watermark bills only growth). It must not alias w or u.
+ *
  * All three kernels are storage-format aware (matrix/formats.h): with
  * a row bitmap the pull kernels iterate only nonempty rows and the
  * push kernel probes rows before touching their pointers; with SELL
@@ -72,7 +85,7 @@ struct PullTally
  * Scan one matrix row against a densified u, returning whether any
  * entry contributed and leaving the accumulated value in @p accum.
  *
- * This is the shared inner loop of mxv, mxv_sparse and mxv_fused. When
+ * This is the shared inner loop of mxv and mxv_sparse. When
  * the caller established that u is fully present (@p u_full) and the
  * semiring has no absorbing element, the row takes a loop without the
  * per-edge presence probe; additionally with @p use_row_simd (SIMD
@@ -215,6 +228,59 @@ for_each_push_row(const Vector<T>& u, const Matrix<T>& A,
     }
 }
 
+/// A kernel's output shell: a fresh vector, or @p recycle's storage
+/// (capacity kept) when the caller donates it.
+template <typename T>
+Vector<T>
+take_output(Index size, Vector<T>* recycle)
+{
+    Vector<T> result(size);
+    if (recycle != nullptr) {
+        result = std::move(*recycle);
+        result.clear_keep_capacity(size);
+    }
+    return result;
+}
+
+/// Bill @p result's storage growth and move it into @p w, handing w's
+/// old storage back to @p recycle. Runs after the last read of u, which
+/// round-based callers may alias with w.
+template <typename T>
+void
+publish_output(Vector<T>& w, Vector<T>& result, Vector<T>* recycle)
+{
+    result.charge_materialized();
+    if (recycle != nullptr) {
+        *recycle = std::move(w);
+    }
+    w = std::move(result);
+}
+
+/// Sparse output of vxm / mxv_sparse: copy the emitted (index, value)
+/// pairs into w (unsorted; the Reference backend sorts them).
+template <typename T>
+void
+publish_sparse_output(Vector<T>& w, Index size,
+                      const rt::InsertBag<std::pair<Index, T>>& output,
+                      Vector<T>* recycle)
+{
+    Vector<T> result = take_output(size, recycle);
+    auto& oidx = result.sparse_indices();
+    auto& ovals = result.sparse_values();
+    oidx.reserve(output.size());
+    ovals.reserve(output.size());
+    output.for_each([&](const std::pair<Index, T>& entry) {
+        oidx.push_back(entry.first);
+        ovals.push_back(entry.second);
+    });
+    result.set_format(VectorFormat::kSparse);
+    result.set_sorted(false);
+    if (backend_sorts_outputs()) {
+        result.sort_entries();
+    }
+    publish_output(w, result, recycle);
+}
+
 } // namespace detail
 
 /**
@@ -229,14 +295,21 @@ for_each_push_row(const Vector<T>& u, const Matrix<T>& A,
  * contributions of the completed blocks only — a valid but partial
  * result; callers must treat w as indeterminate when
  * gas::cancel_status() is non-OK. The same contract applies to mxv,
- * mxv_sparse, mxm, and the fused/SIMD kernels built on these loops.
+ * mxv_sparse, mxm, and the SIMD kernels built on these loops.
+ *
+ * The mask is tested once per touched column, at compaction. Testing a
+ * dense mask per scattered edge instead was measured slower on
+ * power-law graphs (EXPERIMENTS.md, "Loop-fusion headroom").
  */
-template <typename Semiring, typename T, typename MT = uint8_t>
+template <typename Semiring, typename T, typename MT = uint8_t,
+          typename Sink = NoSink>
 void
 vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
-    const Vector<T>& u, const Matrix<T>& A)
+    const Vector<T>& u, const Matrix<T>& A, const Sink& sink = {},
+    Vector<T>* recycle = nullptr)
 {
     GAS_CHECK(u.size() == A.nrows(), "vxm dimension mismatch");
+    GAS_CHECK(recycle != &w, "vxm: recycle must not alias w");
     trace::Span span(trace::Category::kGrb, "vxm", u.nvals());
     metrics::bump(metrics::kPasses);
 
@@ -264,33 +337,20 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     };
     detail::for_each_push_row(u, A, scatter_row);
 
-    // Compact the accumulator into a fresh sparse vector, applying the
-    // mask, then restore the workspace invariant.
+    // Compact the accumulator into the sparse output, applying the mask
+    // and the sink, then restore the workspace invariant. touched holds
+    // each column once (atomic_claim), so sink(j, .) runs at most once.
     const MaskView<MT> view(mask, desc);
     rt::InsertBag<std::pair<Index, T>> output;
     touched.parallel_apply([&](Index j) {
         if (view.test(j)) {
-            output.push({j, acc[j]});
+            T value = acc[j];
+            sink(j, value);
+            output.push({j, value});
         }
     });
     spa.reset(touched);
-
-    Vector<T> result(A.ncols());
-    auto& oidx = result.sparse_indices();
-    auto& ovals = result.sparse_values();
-    oidx.reserve(output.size());
-    ovals.reserve(output.size());
-    output.for_each([&](const std::pair<Index, T>& entry) {
-        oidx.push_back(entry.first);
-        ovals.push_back(entry.second);
-    });
-    result.set_format(VectorFormat::kSparse);
-    result.set_sorted(false);
-    if (backend_sorts_outputs()) {
-        result.sort_entries();
-    }
-    result.charge_materialized();
-    w = std::move(result);
+    detail::publish_sparse_output(w, A.ncols(), output, recycle);
 }
 
 /**
@@ -298,14 +358,19 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
  *
  * u is densified internally when sparse (a materialization the matrix
  * API cannot avoid for pull-style products). The result is dense.
- * Masked-out rows produce no entry (replace semantics).
+ * Masked-out rows produce no entry (replace semantics). The sink runs
+ * on each emitted row after its scan, so every row path (SELL sweep,
+ * within-row SIMD, scalar) serves sink callers too.
  */
-template <typename Semiring, typename T, typename MT = uint8_t>
+template <typename Semiring, typename T, typename MT = uint8_t,
+          typename Sink = NoSink>
 void
 mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
-    const Matrix<T>& A, const Vector<T>& u)
+    const Matrix<T>& A, const Vector<T>& u, const Sink& sink = {},
+    Vector<T>* recycle = nullptr)
 {
     GAS_CHECK(u.size() == A.ncols(), "mxv dimension mismatch");
+    GAS_CHECK(recycle != &w, "mxv: recycle must not alias w");
     trace::Span span(trace::Category::kGrb, "mxv", u.nvals());
     metrics::bump(metrics::kPasses);
 
@@ -321,8 +386,15 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     const bool u_all_present =
         uview->nvals() == static_cast<Nnz>(uview->size());
 
-    Vector<T> result(A.nrows());
-    result.densify();
+    Vector<T> result = detail::take_output(A.nrows(), recycle);
+    if (recycle != nullptr) {
+        // assign (not densify) so the recycled capacity is reused.
+        result.dense_values().assign(A.nrows(), T{});
+        result.dense_presence().assign(A.nrows(), uint8_t{0});
+        result.set_format(VectorFormat::kDense);
+    } else {
+        result.densify();
+    }
     auto& out = result.dense_values();
     auto& present = result.dense_presence();
     const MaskView<MT> view(mask, desc);
@@ -337,6 +409,7 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     // Absorbing semirings keep the scalar loop for its early exit, and
     // long-row order-free products keep the within-row path below
     // (prefer_sell_sweep).
+    bool swept = false;
     if constexpr (simd::kHasSimd<Semiring> && !HasAbsorbing<Semiring>) {
         if (fmt == StorageFormat::kSell && use_simd &&
             simd::prefer_sell_sweep<Semiring>(A.nvals(), A.nrows())) {
@@ -358,6 +431,7 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
                             return false;
                         },
                         [&](Index i, T value) {
+                            sink(i, value);
                             out[i] = value;
                             present[i] = 1;
                             ++local;
@@ -379,10 +453,7 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
                                   stats.lane_slots);
                 },
                 backend_schedule());
-            result.set_dense_nvals(count.load());
-            result.charge_materialized();
-            w = std::move(result);
-            return;
+            swept = true;
         }
     }
 
@@ -401,6 +472,7 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
                 A, i, upresent.data(), uvals.data(), u_all_present,
                 use_simd, accum, tally);
             if (hit) {
+                sink(i, accum);
                 out[i] = accum;
                 present[i] = 1;
                 ++local;
@@ -414,7 +486,9 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         tally.flush();
     };
 
-    if (fmt == StorageFormat::kBitmapCsr) {
+    if (swept) {
+        // Output already built by the slice sweep.
+    } else if (fmt == StorageFormat::kBitmapCsr) {
         // Drive the row loop from the compacted nonempty-row list:
         // empty rows (common under power-law generators) are skipped
         // without touching their row pointers or the mask.
@@ -438,11 +512,10 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
             backend_schedule());
     }
     result.set_dense_nvals(count.load());
-    // The output bytes were charged when result.densify() allocated the
-    // dense arrays (allocation-site accounting); re-billing them here
-    // used to double-count every pull-style product.
-    result.charge_materialized();
-    w = std::move(result);
+    // A fresh output's bytes were charged when result.densify()
+    // allocated them; the watermark keeps publish_output from billing
+    // them twice.
+    detail::publish_output(w, result, recycle);
 }
 
 /**
@@ -462,12 +535,15 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
  * as MaskView would treat them: present-but-zero is "false", so under
  * complement those rows become candidates.
  */
-template <typename Semiring, typename T, typename MT = uint8_t>
+template <typename Semiring, typename T, typename MT = uint8_t,
+          typename Sink = NoSink>
 void
 mxv_sparse(Vector<T>& w, const Vector<MT>& mask, const Descriptor& desc,
-           const Matrix<T>& A, const Vector<T>& u)
+           const Matrix<T>& A, const Vector<T>& u, const Sink& sink = {},
+           Vector<T>* recycle = nullptr)
 {
     GAS_CHECK(u.size() == A.ncols(), "mxv_sparse dimension mismatch");
+    GAS_CHECK(recycle != &w, "mxv_sparse: recycle must not alias w");
     GAS_CHECK(mask.format() == VectorFormat::kSparse,
               "mxv_sparse requires a sparse mask");
     trace::Span span(trace::Category::kGrb, "mxv_sparse", mask.nvals());
@@ -569,6 +645,7 @@ mxv_sparse(Vector<T>& w, const Vector<MT>& mask, const Descriptor& desc,
                     A, i, upresent.data(), uvals.data(), u_all_present,
                     use_simd, accum, tally);
                 if (hit) {
+                    sink(i, accum);
                     output.push({i, accum});
                     ++emitted;
                 }
@@ -577,23 +654,7 @@ mxv_sparse(Vector<T>& w, const Vector<MT>& mask, const Descriptor& desc,
             tally.flush();
         },
         backend_schedule());
-
-    Vector<T> result(A.nrows());
-    auto& oidx = result.sparse_indices();
-    auto& ovals = result.sparse_values();
-    oidx.reserve(output.size());
-    ovals.reserve(output.size());
-    output.for_each([&](const std::pair<Index, T>& entry) {
-        oidx.push_back(entry.first);
-        ovals.push_back(entry.second);
-    });
-    result.set_format(VectorFormat::kSparse);
-    result.set_sorted(false);
-    if (backend_sorts_outputs()) {
-        result.sort_entries();
-    }
-    result.charge_materialized();
-    w = std::move(result);
+    detail::publish_sparse_output(w, A.nrows(), output, recycle);
 }
 
 /// Unmasked vxm convenience overload.

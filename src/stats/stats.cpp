@@ -195,10 +195,8 @@ BridgeTargets g_bridge;
 Histogram*
 classify_grb(const char* name)
 {
-    static constexpr const char* kPushNames[] = {
-        "vxm", "vxm_fused", "vxm_fused_assign"};
-    static constexpr const char* kPullNames[] = {
-        "mxv", "mxv_sparse", "mxv_fused"};
+    static constexpr const char* kPushNames[] = {"vxm"};
+    static constexpr const char* kPullNames[] = {"mxv", "mxv_sparse"};
     for (const char* push : kPushNames) {
         if (std::strcmp(name, push) == 0) {
             return g_bridge.spmv_push.load(std::memory_order_acquire);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Lazy-vs-eager equivalence suite for the non-blocking expression
- * layer (matrix/lazy.h) and the fused kernels behind it
- * (matrix/ops_fused.h).
+ * layer (matrix/lazy.h) and the kernels it fuses into (the SpMV
+ * sinks of matrix/ops_spmv.h, the element-wise composites of
+ * matrix/ops_fused.h).
  *
  * Every recognized fusable chain is run twice — eagerly with the plain
  * grb ops, and recorded through the lazy planner in non-blocking mode —
@@ -546,7 +547,7 @@ TEST_P(GrbLazyTest, AssignReplaceClearsOutsideMaskEntries)
 
 // ---- buffer recycling: lazy/fused runs materialize fewer bytes ----
 
-TEST_P(GrbLazyTest, FusedAndLazyBfsMaterializeFewerBytes)
+TEST_P(GrbLazyTest, LazyBfsMaterializesFewerBytes)
 {
     const Index n = 256;
     const auto A = random_matrix<uint8_t>(n, 0.02, 101);
@@ -562,13 +563,9 @@ TEST_P(GrbLazyTest, FusedAndLazyBfsMaterializeFewerBytes)
     // buffer recycling alone, not direction choice (auto mode may buy
     // pull rounds whose dense frontiers cost bytes to save time).
     const auto eager = bytes_of([&] { la::bfs(A, 0); });
-    const auto fused = bytes_of(
-        [&] { la::bfs_fused(A, At, 0, Direction::kPush); });
     const auto lazy_run = bytes_of(
         [&] { la::bfs_lazy(A, At, 0, Direction::kPush); });
 
-    EXPECT_LT(fused[metrics::kBytesMaterialized],
-              eager[metrics::kBytesMaterialized]);
     EXPECT_LT(lazy_run[metrics::kBytesMaterialized],
               eager[metrics::kBytesMaterialized]);
     EXPECT_GT(lazy_run[metrics::kFusedChains], 0u);
@@ -584,18 +581,10 @@ TEST_P(GrbLazyTest, BfsLazyMatchesEagerVariants)
     const auto At = A.transpose();
 
     const auto base = la::bfs(A, 0);
-    const auto fused_old = la::bfs_fused(A, 0);
-    const auto fused = la::bfs_fused(A, At, 0);
     const auto lazy_run = la::bfs_lazy(A, At, 0);
-    EXPECT_EQ(to_model(base), to_model(fused_old));
-    EXPECT_EQ(to_model(base), to_model(fused));
     EXPECT_EQ(to_model(base), to_model(lazy_run));
 
     // Forced directions must not change the result either.
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_fused(A, At, 0, Direction::kPush)));
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_fused(A, At, 0, Direction::kPull)));
     EXPECT_EQ(to_model(base),
               to_model(la::bfs_lazy(A, At, 0, Direction::kPush)));
     EXPECT_EQ(to_model(base),

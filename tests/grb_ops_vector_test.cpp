@@ -54,7 +54,7 @@ random_vector(Index size, double density, uint64_t seed, bool dense_format)
     return v;
 }
 
-TEST_P(GrbOpsVectorTest, AssignScalarNoMask)
+TEST_P(GrbOpsVectorTest, AssignScalarWithoutMask)
 {
     Vector<int64_t> w(50);
     assign_scalar<int64_t, uint8_t>(w, nullptr, kDefaultDesc, int64_t{7});

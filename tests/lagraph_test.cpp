@@ -169,26 +169,28 @@ TEST_P(LagraphTest, ForcedPullBfsRecordsPullSavings)
               verify::bfs_levels(graph_, source));
 }
 
-TEST_P(LagraphTest, FusedBfsMatchesOracle)
+TEST_P(LagraphTest, LazyBfsMatchesOracle)
 {
     const auto A = grb::Matrix<uint8_t>::from_graph(graph_, false);
+    const auto At = A.transpose();
     for (Node source = 0; source < graph_.num_nodes(); source += 13) {
-        const auto dist = la::bfs_fused(A, source);
+        const auto dist = la::bfs_lazy(A, At, source);
         ASSERT_EQ(la::bfs_levels_from(dist),
                   verify::bfs_levels(graph_, source))
             << "source " << source;
     }
 }
 
-TEST_P(LagraphTest, FusedBfsNeedsFewerPassesThanBasicBfs)
+TEST_P(LagraphTest, LazyBfsNeedsFewerPassesThanBasicBfs)
 {
     const auto A = grb::Matrix<uint8_t>::from_graph(graph_, false);
+    const auto At = A.transpose();
     const Node source = graph::highest_degree_node(graph_);
     metrics::Interval basic_interval;
     la::bfs(A, source);
     const auto basic = basic_interval.delta();
     metrics::Interval fused_interval;
-    la::bfs_fused(A, source);
+    la::bfs_lazy(A, At, source, grb::Direction::kPush);
     const auto fused = fused_interval.delta();
     EXPECT_LT(fused[metrics::kPasses], basic[metrics::kPasses]);
 }

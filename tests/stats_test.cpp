@@ -5,8 +5,9 @@
  * against exact order statistics, concurrent record-then-merge, the
  * disabled-mode zero-allocation guarantee, sampler frame monotonicity,
  * the trace span bridge reconciliation invariant (histogram count/sum
- * == counter totals and span sums over a full la::pagerank run), the
- * scheduler steal-wait series, and the JSON/Prometheus expositions.
+ * == counter totals and span sums over a full la::pagerank run), one
+ * push/pull series sample per dispatched SpMV round, the scheduler
+ * steal-wait series, and the JSON/Prometheus expositions.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/properties.h"
 #include "lagraph/lagraph.h"
 #include "matrix/matrix.h"
 #include "metrics/counters.h"
@@ -355,6 +357,39 @@ TEST(Stats, BridgeReconcilesWithCountersAndSpanSums)
                   .snapshot()
                   .count,
               0u);
+}
+
+TEST(Stats, SpmvSeriesCountEveryDispatchedRound)
+{
+    // Each SpMV kernel span must land in the push or pull series: a
+    // kernel whose span name classify_grb does not know would fall
+    // silently into grb_op_ns. A forced-direction bfs_lazy runs every
+    // round through one direction, sink and recycle buffer included.
+    rt::set_num_threads(4);
+    const Graph graph = small_graph();
+    grb::BackendScope backend(grb::Backend::kParallel);
+    const auto A = grb::Matrix<uint8_t>::from_graph(graph, false);
+    const auto At = A.transpose();
+    const graph::Node source = graph::highest_degree_node(graph);
+
+    for (const grb::Direction dir :
+         {grb::Direction::kPush, grb::Direction::kPull}) {
+        StatsScope scope;
+        const metrics::Interval interval;
+        la::bfs_lazy(A, At, source, dir);
+        const auto totals = interval.delta();
+        const uint64_t push =
+            stats::histogram(stats::names::kSpmvPushNs).snapshot().count;
+        const uint64_t pull =
+            stats::histogram(stats::names::kSpmvPullNs).snapshot().count;
+        if (dir == grb::Direction::kPush) {
+            EXPECT_GT(totals[metrics::kSpmvPushRounds], 0u);
+            EXPECT_EQ(push, totals[metrics::kSpmvPushRounds]);
+        } else {
+            EXPECT_GT(totals[metrics::kSpmvPullRounds], 0u);
+            EXPECT_EQ(pull, totals[metrics::kSpmvPullRounds]);
+        }
+    }
 }
 
 TEST(Stats, StealWaitSeriesPopulatedByWorkStealingExecutor)
