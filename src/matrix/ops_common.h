@@ -165,10 +165,10 @@ atomic_claim(uint8_t& flag)
  * identity plus occupancy flags, sized to the largest vector seen.
  *
  * One workspace is cached per (scalar type, semiring) template
- * instantiation; the invariant "all values hold the identity and all
- * flags are clear outside an operation" is restored by resetting only
- * the touched slots, so per-operation cost is proportional to the
- * active set, not the vector dimension.
+ * instantiation. Outside an operation every value holds the identity
+ * and every flag is clear; the operation that dirtied slots restores
+ * them in the same pass that reads them out (vxm's compaction), so no
+ * operation pays an O(dimension) reset.
  */
 template <typename T, typename Semiring>
 class SpaWorkspace
@@ -184,20 +184,6 @@ class SpaWorkspace
 
     T* values() { return values_.data(); }
     uint8_t* occupied() { return occupied_.data(); }
-
-    /// Restore the identity/clear invariant for the given touched slots.
-    /// Shielded from cancellation: the workspace is cached across
-    /// operations, so a reset cut short by a tripped token would leave
-    /// stale slots that corrupt every later operation in the process.
-    void
-    reset(const rt::InsertBag<Index>& touched)
-    {
-        CancelShield shield;
-        touched.parallel_apply([&](Index i) {
-            values_[i] = Semiring::identity();
-            occupied_[i] = 0;
-        });
-    }
 
   private:
     void

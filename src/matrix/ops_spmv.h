@@ -45,6 +45,11 @@
  * the SELL sweep, value-identical for the order-free within-row path.
  */
 
+#include <bit>
+#include <cstring>
+#include <numeric>
+#include <span>
+
 #include "matrix/matrix.h"
 #include "matrix/ops_common.h"
 #include "matrix/semiring.h"
@@ -228,6 +233,71 @@ for_each_push_row(const Vector<T>& u, const Matrix<T>& A,
     }
 }
 
+/**
+ * vxm compacts with a dense SPA scan when the scatter's f accumulator
+ * updates satisfy ncols <= kDenseSpaFlopRatio * f. The scan visits all
+ * ncols slots, so the bound keeps it within kDenseSpaFlopRatio slot
+ * visits per update the scatter already made; below it a
+ * touched-column list is cheaper than the scan.
+ */
+inline constexpr uint64_t kDenseSpaFlopRatio = 8;
+
+/// Columns per block of vxm's dense SPA compaction.
+inline constexpr Index kSpaScanBlock = 4096;
+
+/// True when the push scatter's flop count f (the summed row lengths
+/// of u's explicit entries; all of A when u is dense) reaches
+/// ncols / kDenseSpaFlopRatio. The sum stops at that point.
+template <typename T>
+bool
+dense_spa_pays(const Vector<T>& u, const Matrix<T>& A)
+{
+    const uint64_t needed =
+        (static_cast<uint64_t>(A.ncols()) + kDenseSpaFlopRatio - 1) /
+        kDenseSpaFlopRatio;
+    if (u.format() == VectorFormat::kDense) {
+        return A.nvals() >= needed;
+    }
+    uint64_t flops = 0;
+    for (const Index i : u.sparse_indices()) {
+        flops += A.row_nvals(i);
+        if (flops >= needed) {
+            return true;
+        }
+    }
+    return flops >= needed;
+}
+
+/**
+ * Call fn(j) for each set flag j in [lo, hi) of @p occ, in order. The
+ * flags are 0/1 bytes, so one multiply packs eight of them into a bit
+ * mask: a word of clear flags costs one load and one branch, and set
+ * flags are visited without a per-column branch to mispredict.
+ */
+template <typename Fn>
+inline void
+for_each_set_flag(const uint8_t* occ, Index lo, Index hi, Fn&& fn)
+{
+    Index j = lo;
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; j + 8 <= hi; j += 8) {
+            uint64_t word = 0;
+            std::memcpy(&word, occ + j, sizeof(word));
+            // Bit k of the top byte is flag j + k (flags are 0 or 1).
+            uint64_t bits = (word * 0x0102040810204080ull) >> 56;
+            while (bits != 0) {
+                fn(j + static_cast<Index>(std::countr_zero(bits)));
+                bits &= bits - 1;
+            }
+        }
+    }
+    for (; j < hi; ++j) {
+        if (occ[j] != 0) {
+            fn(j);
+        }
+    }
+}
+
 /// A kernel's output shell: a fresh vector, or @p recycle's storage
 /// (capacity kept) when the caller donates it.
 template <typename T>
@@ -256,8 +326,8 @@ publish_output(Vector<T>& w, Vector<T>& result, Vector<T>* recycle)
     w = std::move(result);
 }
 
-/// Sparse output of vxm / mxv_sparse: copy the emitted (index, value)
-/// pairs into w (unsorted; the Reference backend sorts them).
+/// Sparse output of mxv_sparse: copy the emitted (index, value) pairs
+/// into w (unsorted; the Reference backend sorts them).
 template <typename T>
 void
 publish_sparse_output(Vector<T>& w, Index size,
@@ -286,16 +356,32 @@ publish_sparse_output(Vector<T>& w, Index size,
 /**
  * w<mask> = u * A over a semiring: w(j) = add_i mul(u(i), A(i,j)).
  *
- * Output always uses replace semantics (w is overwritten). The result
- * is sparse; the Reference backend sorts it, the Parallel backend
- * leaves it in insertion order (the paper's "unordered list").
+ * Output always uses replace semantics (w is overwritten) and is
+ * sparse. The scatter writes a cached sparse accumulator (SPA); one
+ * compaction then moves the accumulated columns into w, testing the
+ * mask, running the sink and restoring the SPA slots in the same pass.
+ * The compaction is picked from the flop count f (the summed row
+ * lengths of u's entries, SuiteSparse saxpy3's rule):
+ *
+ *  - dense SPA, f * kDenseSpaFlopRatio >= ncols: the scatter keeps no
+ *    touched list, and the compaction scans [0, ncols) in column
+ *    blocks (count, prefix sum, write), so w comes out sorted on both
+ *    backends. The scan costs O(ncols) <= kDenseSpaFlopRatio * f, so
+ *    it is bounded by the scatter's own work; it reads the occupancy
+ *    flags eight at a time (detail::for_each_set_flag).
+ *  - sparse SPA, otherwise: the scatter records each newly claimed
+ *    column once, and the compaction walks only that list. The
+ *    Reference backend sorts the result; the Parallel backend leaves
+ *    it in claim order (the paper's "unordered list").
  *
  * Cancellation: the row blocks run under do_all, whose chunk claims
  * are cancellation points. On a tripped CancelToken w holds the
  * contributions of the completed blocks only — a valid but partial
  * result; callers must treat w as indeterminate when
  * gas::cancel_status() is non-OK. The same contract applies to mxv,
- * mxv_sparse, mxm, and the SIMD kernels built on these loops.
+ * mxv_sparse, mxm, and the SIMD kernels built on these loops. The
+ * compaction itself runs under a CancelShield: it is bounded, and one
+ * cut short would leave stale slots in the cached SPA.
  *
  * The mask is tested once per touched column, at compaction. Testing a
  * dense mask per scattered edge instead was measured slower on
@@ -316,6 +402,7 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     auto& spa = SpaWorkspace<T, Semiring>::get(A.ncols());
     T* const acc = spa.values();
     uint8_t* const occ = spa.occupied();
+    const bool dense_spa = detail::dense_spa_pays(u, A);
     rt::InsertBag<Index> touched;
 
     // Scatter one row of A scaled by x; every edge is one accumulator
@@ -329,7 +416,7 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
             atomic_accum(acc[j], product, [](T a, T b) {
                 return Semiring::add(a, b);
             });
-            if (atomic_claim(occ[j])) {
+            if (atomic_claim(occ[j]) && !dense_spa) {
                 touched.push(j);
             }
         }
@@ -337,20 +424,96 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     };
     detail::for_each_push_row(u, A, scatter_row);
 
-    // Compact the accumulator into the sparse output, applying the mask
-    // and the sink, then restore the workspace invariant. touched holds
-    // each column once (atomic_claim), so sink(j, .) runs at most once.
+    // Compact the SPA into w. A slot is occupied exactly once per
+    // column (atomic_claim), so sink(j, .) runs at most once per j.
     const MaskView<MT> view(mask, desc);
-    rt::InsertBag<std::pair<Index, T>> output;
-    touched.parallel_apply([&](Index j) {
-        if (view.test(j)) {
-            T value = acc[j];
+    Vector<T> result = detail::take_output(A.ncols(), recycle);
+    auto& oidx = result.sparse_indices();
+    auto& ovals = result.sparse_values();
+    // Take an occupied slot out of the SPA, restoring its invariant.
+    auto take = [&](Index j) {
+        const T value = acc[j];
+        acc[j] = Semiring::identity();
+        occ[j] = 0;
+        return value;
+    };
+    // Drop the masked-out occupied slots that for_occupied visits and
+    // count the rest.
+    auto count_kept = [&](auto&& for_occupied) {
+        std::size_t kept = 0;
+        for_occupied([&](Index j) {
+            if (view.test(j)) {
+                ++kept;
+            } else {
+                (void)take(j);
+            }
+        });
+        return kept;
+    };
+    // Move the occupied slots that for_occupied visits into w from `at`.
+    auto emit = [&](auto&& for_occupied, std::size_t at) {
+        for_occupied([&](Index j) {
+            T value = take(j);
             sink(j, value);
-            output.push({j, value});
-        }
-    });
-    spa.reset(touched);
-    detail::publish_sparse_output(w, A.ncols(), output, recycle);
+            oidx[at] = j;
+            ovals[at] = value;
+            ++at;
+        });
+    };
+    CancelShield shield;
+    if (dense_spa) {
+        // Count per column block, then write each block at its prefix
+        // offset, so the output is in column order whatever the
+        // schedule.
+        const Index ncols = A.ncols();
+        const std::size_t nblocks =
+            (ncols + detail::kSpaScanBlock - 1) / detail::kSpaScanBlock;
+        auto block = [&](std::size_t b) {
+            const auto lo = static_cast<Index>(b * detail::kSpaScanBlock);
+            const Index hi = std::min<Index>(ncols, lo + detail::kSpaScanBlock);
+            return [=](auto&& fn) {
+                detail::for_each_set_flag(occ, lo, hi, fn);
+            };
+        };
+        const rt::LoopOptions per_block{backend_schedule().schedule, 1};
+        std::vector<std::size_t> offsets(nblocks + 1, 0);
+        rt::do_all(
+            nblocks,
+            [&](std::size_t b) { offsets[b + 1] = count_kept(block(b)); },
+            per_block);
+        std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+        oidx.resize(offsets[nblocks]);
+        ovals.resize(offsets[nblocks]);
+        rt::do_all(
+            nblocks, [&](std::size_t b) { emit(block(b), offsets[b]); },
+            per_block);
+    } else {
+        // Each piece of the touched list counts, claims its output
+        // range, then writes it.
+        oidx.resize(touched.size());
+        ovals.resize(touched.size());
+        std::atomic<std::size_t> cursor{0};
+        touched.parallel_apply_spans([&](std::span<const Index> cols) {
+            auto for_occupied = [&](auto&& fn) {
+                for (const Index j : cols) {
+                    if (occ[j] != 0) {
+                        fn(j);
+                    }
+                }
+            };
+            emit(for_occupied,
+                 cursor.fetch_add(count_kept(for_occupied),
+                                  std::memory_order_relaxed));
+        });
+        oidx.resize(cursor.load());
+        ovals.resize(cursor.load());
+    }
+    result.set_format(VectorFormat::kSparse);
+    result.set_sorted(dense_spa);
+    if (backend_sorts_outputs()) {
+        result.sort_entries();
+    }
+    detail::publish_output(w, result, recycle);
 }
 
 /**

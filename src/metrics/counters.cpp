@@ -227,9 +227,12 @@ read()
     gas::LockGuard guard(registry.lock);
     Snapshot total;
     total.values = registry.retired;
-    for (const detail::Block* block : registry.blocks) {
+    // Owners bump without the lock; relaxed atomic loads make these
+    // concurrent reads well defined (see bump()).
+    for (detail::Block* block : registry.blocks) {
         for (unsigned i = 0; i < kNumCounters; ++i) {
-            total.values[i] += (*block)[i];
+            total.values[i] += std::atomic_ref<uint64_t>((*block)[i]).load(
+                std::memory_order_relaxed);
         }
     }
     return total;
@@ -242,7 +245,10 @@ reset()
     gas::LockGuard guard(registry.lock);
     registry.retired.fill(0);
     for (detail::Block* block : registry.blocks) {
-        block->fill(0);
+        for (uint64_t& slot : *block) {
+            std::atomic_ref<uint64_t>(slot).store(0,
+                                                  std::memory_order_relaxed);
+        }
     }
 }
 

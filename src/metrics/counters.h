@@ -103,6 +103,7 @@
  */
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -218,6 +219,10 @@ Block* register_thread();
  * totals in loop-local integers and bump once per rt::Range (or once
  * per row, with the row's end - begin). What remains per item (the
  * for_each / OBIM schedulers) costs one TLS load and one add.
+ *
+ * Only the owning thread writes its slot, so a relaxed load and store
+ * (plain movs on x86, no lock prefix) make the update exact; they are
+ * atomic only so that read() can sum the slot from another thread.
  */
 inline void
 bump(CounterId id, uint64_t amount = 1)
@@ -226,7 +231,9 @@ bump(CounterId id, uint64_t amount = 1)
     if (block == nullptr) [[unlikely]] {
         block = detail::register_thread();
     }
-    (*block)[id] += amount;
+    std::atomic_ref<uint64_t> slot((*block)[id]);
+    slot.store(slot.load(std::memory_order_relaxed) + amount,
+               std::memory_order_relaxed);
 }
 
 /**

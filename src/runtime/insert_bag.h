@@ -12,6 +12,7 @@
  */
 
 #include <cstddef>
+#include <span>
 
 #include "check/fuzz.h"
 #include "runtime/parallel.h"
@@ -86,6 +87,24 @@ class InsertBag
     void
     parallel_apply(Fn&& fn, LoopOptions options = {}) const
     {
+        parallel_apply_spans(
+            [&](std::span<const T> items) {
+                for (const T& item : items) {
+                    fn(item);
+                }
+            },
+            options);
+    }
+
+    /// Apply @p fn to contiguous pieces of the bag in parallel:
+    /// fn(std::span<const T>) sees every item exactly once. A piece is
+    /// the part of one loop chunk that falls in one thread's segment,
+    /// so a caller can run a per-piece prologue (count, then reserve
+    /// output space) before visiting the items.
+    template <typename Fn>
+    void
+    parallel_apply_spans(Fn&& fn, LoopOptions options = {}) const
+    {
         // Build a prefix-sum index so a single flat do_all covers all
         // segments with balanced chunks.
         const unsigned num_segments = segments_.size();
@@ -111,8 +130,11 @@ class InsertBag
                     const std::size_t seg_begin = offsets[seg];
                     const std::size_t stop =
                         std::min(range.end, offsets[seg + 1]);
-                    for (; i < stop; ++i) {
-                        fn(segment[i - seg_begin]);
+                    if (i < stop) {
+                        fn(std::span<const T>(segment.data() +
+                                                  (i - seg_begin),
+                                              stop - i));
+                        i = stop;
                     }
                     ++seg;
                 }

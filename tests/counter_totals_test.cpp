@@ -56,6 +56,7 @@ struct Pinned
 const std::vector<Pinned> kExpected = {
     {"csr", "vxm", {43, 374, 374, 374, 0, 0}},
     {"csr", "vxm_masked", {110, 594, 594, 594, 0, 0}},
+    {"csr", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
     {"csr", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"csr", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"csr", "mxv_sparse_u", {126, 126, 810, 810, 1360, 198}},
@@ -66,6 +67,7 @@ const std::vector<Pinned> kExpected = {
     {"csr", "assign_masked", {0, 389, 0, 512, 0, 0}},
     {"bitmap", "vxm", {43, 374, 374, 374, 0, 0}},
     {"bitmap", "vxm_masked", {110, 594, 594, 594, 0, 0}},
+    {"bitmap", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
     {"bitmap", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"bitmap", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"bitmap", "mxv_sparse_u", {126, 126, 810, 810, 1360, 136}},
@@ -76,6 +78,7 @@ const std::vector<Pinned> kExpected = {
     {"bitmap", "assign_masked", {0, 389, 0, 512, 0, 0}},
     {"sell", "vxm", {43, 374, 374, 374, 0, 0}},
     {"sell", "vxm_masked", {110, 594, 594, 594, 0, 0}},
+    {"sell", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
     {"sell", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"sell", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"sell", "mxv_sparse_u", {126, 126, 810, 810, 1360, 198}},
@@ -193,6 +196,22 @@ run_all(StorageFormat format)
     runs.emplace_back("vxm_masked", measure([&] {
         grb::vxm<grb::LorLand>(wb, &visited, grb::kComplementReplaceDesc,
                                b_sparse, Ab);
+    }));
+    // The same round with a one-entry frontier, few enough flops that
+    // vxm compacts through its touched-column list, not the dense scan.
+    const auto b_one = [&] {
+        Vector<uint8_t> v(n);
+        for (const Index i : b_sparse.sparse_indices()) {
+            if (Ab.row_nvals(i) != 0 && Ab.row_nvals(i) * 8 < n) {
+                v.set_element(i, 1);
+                break;
+            }
+        }
+        return v;
+    }();
+    runs.emplace_back("vxm_sparse_spa", measure([&] {
+        grb::vxm<grb::LorLand>(wb, &visited, grb::kComplementReplaceDesc,
+                               b_one, Ab);
     }));
     runs.emplace_back("mxv_full", measure([&] {
         grb::mxv<grb::PlusTimes<double>>(wd, grb::kDefaultDesc, Ad,

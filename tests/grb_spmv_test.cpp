@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 
@@ -405,6 +407,108 @@ TEST(GrbPullBitIdentity, PlusTimesUint32MatchesSerialRowOrder)
         72, [](Rng& rng) {
             return static_cast<uint32_t>(rng.next_bounded(1u << 20));
         });
+}
+
+// ---------------------------------------------------------------------
+// vxm compacts its accumulator in one of two modes, picked from the
+// flop count: a touched-column list for small frontiers and a dense
+// in-order scan for large ones. Both must produce the oracle's entries
+// for every call shape, and the dense mode's output must come out
+// sorted on both backends.
+// ---------------------------------------------------------------------
+
+bool
+indices_ascending(const Vector<uint64_t>& w)
+{
+    const auto& idx = w.sparse_indices();
+    return std::is_sorted(idx.begin(), idx.end());
+}
+
+TEST(GrbVxmSpa, VxmSparseAndDenseSpaAgree)
+{
+    // Row 5 holds 20-59 entries: far below the dense-scan threshold.
+    const Index n = 4096;
+    const auto A = varied_matrix<uint64_t>(
+        n, 501, [](Rng& rng) { return 1 + rng.next_bounded(9); });
+    Vector<uint64_t> one_row(n);
+    one_row.set_element(5, 5);
+    const auto frontier = random_vector(n, 0.5, 502, true);
+
+    // A complemented value mask with present-but-zero entries, so the
+    // value test (not just presence) decides which columns survive.
+    auto mask = random_vector(n, 0.4, 503, true);
+    for (Index j = 0; j < n; j += 3) {
+        mask.set_element(j, 0);
+    }
+    Descriptor complement;
+    complement.mask_complement = true;
+
+    rt::set_num_threads(4);
+    for (const Backend backend : {Backend::kParallel, Backend::kReference}) {
+        BackendScope scope(backend);
+        for (const auto& [u, dense_mode] :
+             {std::pair<const Vector<uint64_t>*, bool>{&one_row, false},
+              std::pair<const Vector<uint64_t>*, bool>{&frontier, true}}) {
+            SCOPED_TRACE(std::string(backend == Backend::kParallel
+                                         ? "Parallel"
+                                         : "Reference") +
+                         (dense_mode ? " dense SPA" : " sparse SPA"));
+            auto expect_sorted_if_dense = [&](const Vector<uint64_t>& w) {
+                if (dense_mode) {
+                    EXPECT_TRUE(w.sorted());
+                    EXPECT_TRUE(indices_ascending(w));
+                }
+            };
+
+            // PlusTimes, no mask.
+            const Model plus = vxm_oracle<PlusTimes<uint64_t>>(*u, A);
+            Vector<uint64_t> w;
+            vxm<PlusTimes<uint64_t>>(
+                w, static_cast<const Vector<uint64_t>*>(nullptr),
+                kDefaultDesc, *u, A);
+            EXPECT_EQ(to_model(w), plus);
+            expect_sorted_if_dense(w);
+
+            // LorLand under a complemented dense value mask.
+            Model lor;
+            for (const auto& [j, x] : vxm_oracle<LorLandU64>(*u, A)) {
+                if (!mask.mask_true(j)) {
+                    lor[j] = x;
+                }
+            }
+            vxm<LorLandU64>(w, &mask, complement, *u, A);
+            EXPECT_EQ(to_model(w), lor);
+            expect_sorted_if_dense(w);
+
+            // A sink that rewrites each value, run once per entry.
+            std::atomic<uint64_t> sink_calls{0};
+            const auto rewrite = [&](Index j, uint64_t& x) {
+                x = x * 3 + j;
+                sink_calls.fetch_add(1, std::memory_order_relaxed);
+            };
+            vxm<PlusTimes<uint64_t>>(
+                w, static_cast<const Vector<uint64_t>*>(nullptr),
+                kDefaultDesc, *u, A, rewrite);
+            Model rewritten;
+            for (const auto& [j, x] : plus) {
+                rewritten[j] = x * 3 + j;
+            }
+            EXPECT_EQ(to_model(w), rewritten);
+            EXPECT_EQ(sink_calls.load(), plus.size());
+            expect_sorted_if_dense(w);
+
+            // A recycled buffer: its stale entries must not leak into
+            // the result, and it receives w's previous storage back.
+            Vector<uint64_t> recycle = random_vector(n, 0.3, 504, false);
+            const Model previous = to_model(w);
+            vxm<PlusTimes<uint64_t>>(
+                w, static_cast<const Vector<uint64_t>*>(nullptr),
+                kDefaultDesc, *u, A, NoSink{}, &recycle);
+            EXPECT_EQ(to_model(w), plus);
+            EXPECT_EQ(to_model(recycle), previous);
+            expect_sorted_if_dense(w);
+        }
+    }
 }
 
 } // namespace

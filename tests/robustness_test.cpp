@@ -14,6 +14,7 @@
 
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/properties.h"
 #include "lagraph/lagraph.h"
 #include "lonestar/lonestar.h"
 #include "metrics/counters.h"
@@ -245,6 +246,93 @@ TEST(Cancellation, CancelledRunsDoNotPoisonLaterOnes)
             run_guarded([&] { dist = la::sssp_delta(A, 0, 64); });
         ASSERT_TRUE(status.ok()) << round;
         EXPECT_EQ(dist, oracle) << round;
+    }
+
+    // bfs on a graph big enough that its widest rounds compact vxm's
+    // accumulator with the dense scan rather than a touched list.
+    const Graph big = Graph::from_edge_list(graph::rmat(13, 8, 31), false);
+    const Node source = graph::highest_degree_node(big);
+    const auto levels = verify::bfs_levels(big, source);
+    const auto B = grb::Matrix<uint8_t>::from_graph(big, false);
+    for (int round = 0; round < 3; ++round) {
+        {
+            CancelToken token;
+            CancelScope scope(token);
+            token.cancel();
+            const Status status =
+                run_guarded([&] { (void)la::bfs(B, source); });
+            EXPECT_EQ(status.code(), StatusCode::kCancelled) << round;
+        }
+        std::vector<uint32_t> got;
+        const Status status = run_guarded(
+            [&] { got = la::bfs_levels_from(la::bfs(B, source)); });
+        ASSERT_TRUE(status.ok()) << round;
+        EXPECT_EQ(got, levels) << round;
+    }
+}
+
+/// PlusTimes whose multiply trips a token after a fixed number of
+/// products, so a vxm scatter is cut off partway through its rows.
+struct TrippingPlusTimes
+{
+    using Value = uint64_t;
+    static inline std::atomic<uint64_t> products{0};
+    static inline std::atomic<uint64_t> trip_after{0};
+    static inline CancelToken* token = nullptr;
+
+    static constexpr uint64_t identity() { return 0; }
+    static constexpr uint64_t add(uint64_t a, uint64_t b) { return a + b; }
+    static uint64_t
+    mul(uint64_t a, uint64_t b)
+    {
+        if (products.fetch_add(1, std::memory_order_relaxed) + 1 ==
+                trip_after.load(std::memory_order_relaxed) &&
+            token != nullptr) {
+            token->cancel();
+        }
+        return a * b;
+    }
+    static constexpr bool add_is_min = false;
+};
+
+TEST(Cancellation, VxmCutMidScatterLeavesCleanAccumulator)
+{
+    // A run cancelled mid-scatter has dirtied part of the cached
+    // accumulator; the shielded compaction must still restore every
+    // slot, so the next run of the same semiring sees a clean one. A
+    // full frontier puts the compaction on the dense scan.
+    rt::set_num_threads(4);
+    const Graph g = Graph::from_edge_list(graph::rmat(12, 8, 41), false);
+    const auto A = grb::Matrix<uint64_t>::from_graph(g, false);
+    grb::Vector<uint64_t> u(A.nrows());
+    u.fill(2);
+
+    grb::Vector<uint64_t> expected;
+    grb::vxm<grb::PlusTimes<uint64_t>>(expected, grb::kDefaultDesc, u, A);
+
+    for (int round = 0; round < 3; ++round) {
+        {
+            CancelToken token;
+            CancelScope scope(token);
+            TrippingPlusTimes::products = 0;
+            TrippingPlusTimes::trip_after = A.nvals() / 3;
+            TrippingPlusTimes::token = &token;
+            grb::Vector<uint64_t> partial;
+            grb::vxm<TrippingPlusTimes>(partial, grb::kDefaultDesc, u, A);
+            TrippingPlusTimes::token = nullptr;
+            EXPECT_EQ(token.code(), StatusCode::kCancelled) << round;
+        }
+        grb::Vector<uint64_t> w;
+        grb::vxm<TrippingPlusTimes>(w, grb::kDefaultDesc, u, A);
+        std::vector<std::pair<grb::Index, uint64_t>> got;
+        std::vector<std::pair<grb::Index, uint64_t>> want;
+        w.for_entries(
+            [&](grb::Index j, uint64_t x) { got.emplace_back(j, x); });
+        expected.for_entries(
+            [&](grb::Index j, uint64_t x) { want.emplace_back(j, x); });
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << round;
     }
 }
 
