@@ -7,18 +7,21 @@
  * Matrix-API variants (all routed through grb::SpmvDispatcher):
  *   gb       push-only Algorithm 2 (the baseline, speedups relative
  *            to it)
- *   gb-pp    fixed-threshold push/pull switching with a dense value
- *            mask (the historical bfs_pushpull policy)
+ *   gb-pp    bfs_pushpull: the fixed 5% frontier threshold forces
+ *            each round's direction
  *   gb-fpush bfs_auto with the dispatcher forced to push every round
  *   gb-fpull bfs_auto with the dispatcher forced to pull every round
  *   gb-auto  bfs_auto with the cost model deciding per round
+ * All four run one round body (la_bfs.cpp) that masks with the dense
+ * dist vector as a complemented value mask; they differ only in how
+ * each round's direction is picked.
  * Graph-API variants:
  *   ls       push-only Algorithm 1
  *   ls-do    Beamer-style push/pull with early-exit pull
  *
  * For gb-auto the table also reports the dispatcher's decisions
  * (push/pull rounds) and what the masked pull kernels saved (rows
- * skipped via the structural mask, edges short-circuited by the
+ * skipped via the complemented dist mask, edges short-circuited by the
  * first-hit early exit), measured over one run.
  *
  * Expected shape: direction optimization helps most on low-diameter

@@ -43,6 +43,8 @@ enum class Site : uint8_t {
     kStealSweep, ///< for_each, entering the steal sweep
     kObimPush,   ///< ObimWorklist::push, before the bin insert
     kObimPop,    ///< ObimWorklist::pop_batch, entering the bin scan
+    kObimCursor, ///< ObimWorklist::pop_batch, between a bin pop and
+                 ///< the cursor CAS
     kBagPush,    ///< InsertBag::push
     kReduce,     ///< Reducer::update
 };

@@ -1,5 +1,7 @@
 #include "lagraph/lagraph.h"
 
+#include <optional>
+
 #include "metrics/counters.h"
 #include "support/cancel.h"
 #include "trace/trace.h"
@@ -57,21 +59,25 @@ bfs(const grb::Matrix<uint8_t>& A, Index source)
     return dist;
 }
 
+namespace {
+
 /*
- * The same rounds as bfs(), recorded in non-blocking mode: the lazy
- * planner recognizes the dispatch_spmv + assign_scalar chain and runs
- * the assign inside the SpMV kernel's per-entry sink, the fusion a
- * restructuring compiler would synthesize from Algorithm 2 (Section VI
- * of the paper). One kernel pass per round replaces the vxm + assign
- * pair, rounds direction-optimize through the dispatcher, and the
- * previous frontier's storage is recycled into the next round's output.
+ * The round body of bfs_auto, bfs_lazy and bfs_pushpull: bfs()'s round
+ * (dist is the complemented value mask and the assign target) through
+ * the grb::lazy recorders and a dispatcher over (A, At). The caller's
+ * grb::ExecModeScope picks the execution: blocking runs each recorder
+ * on the spot; non-blocking runs the assign in the SpMV kernel's sink,
+ * one pass per round. A pull round writes a dense frontier; once it
+ * thins below n/16 it is sparsified, because the dispatcher pulls any
+ * dense frontier and would never return to push. @p pull_threshold,
+ * when set, forces each round's direction from the frontier size.
  */
 Vector<uint32_t>
-bfs_lazy(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
-         Index source, grb::Direction force)
+bfs_rounds(const char* span_name, const grb::Matrix<uint8_t>& A,
+           const grb::Matrix<uint8_t>& At, Index source,
+           grb::Direction force, std::optional<double> pull_threshold)
 {
-    trace::Span algo(trace::Category::kAlgo, "la_bfs_lazy");
-    grb::ExecModeScope mode(grb::ExecMode::kNonBlocking);
+    trace::Span algo(trace::Category::kAlgo, span_name);
     const Index n = A.nrows();
 
     Vector<uint32_t> dist(n);
@@ -80,7 +86,7 @@ bfs_lazy(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
     dist.set_element(source, 1);
 
     grb::SpmvDispatcher<uint8_t> spmv(A, At);
-    grb::Descriptor desc = grb::kComplementReplaceDesc;
+    Descriptor desc = grb::kComplementReplaceDesc;
     desc.direction = force;
 
     // Declared after everything its pending nodes reference (dist,
@@ -94,18 +100,54 @@ bfs_lazy(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
         metrics::bump(metrics::kRounds);
         ++level;
 
-        // Written as the plain three-op round of Algorithm 2; the
-        // non-blocking planner recognizes the spmv + assign chain and
-        // runs both as one fused kernel when nvals() forces the round.
+        if (pull_threshold.has_value()) {
+            desc.direction =
+                static_cast<double>(frontier.nvals()) > *pull_threshold * n
+                ? grb::Direction::kPull
+                : grb::Direction::kPush;
+        }
         grb::lazy::dispatch_spmv<grb::LorLand>(spmv, frontier, &dist,
                                                desc, frontier);
         grb::lazy::assign_scalar(dist, frontier, grb::kDefaultDesc,
                                  level);
-        if (frontier.nvals() == 0) {
+        const grb::Nnz found = frontier.nvals();
+        if (found == 0) {
             break;
+        }
+        // A forced pull keeps its dense frontier: mxv reads it as is
+        // and would only densify a sparse one again.
+        if (force != grb::Direction::kPull &&
+            frontier.value().format() == grb::VectorFormat::kDense &&
+            found * 16 < static_cast<uint64_t>(n)) {
+            frontier.sparsify();
         }
     }
     return dist;
+}
+
+} // namespace
+
+Vector<uint32_t>
+bfs_pushpull(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
+             Index source, double pull_threshold)
+{
+    return bfs_rounds("la_bfs_pushpull", A, At, source,
+                      grb::Direction::kAuto, pull_threshold);
+}
+
+Vector<uint32_t>
+bfs_auto(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
+         Index source, grb::Direction force)
+{
+    return bfs_rounds("la_bfs_auto", A, At, source, force, std::nullopt);
+}
+
+Vector<uint32_t>
+bfs_lazy(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
+         Index source, grb::Direction force)
+{
+    grb::ExecModeScope mode(grb::ExecMode::kNonBlocking);
+    return bfs_rounds("la_bfs_lazy", A, At, source, force, std::nullopt);
 }
 
 std::vector<uint32_t>

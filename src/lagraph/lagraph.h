@@ -45,40 +45,39 @@ grb::Vector<uint32_t> bfs(const grb::Matrix<uint8_t>& A, grb::Index source);
 /// hop counts (source = 0, unreached = kUnreachedLevel).
 std::vector<uint32_t> bfs_levels_from(const grb::Vector<uint32_t>& dist);
 
-/**
- * Direction-optimizing bfs in the matrix API (GraphBLAST style):
- * push rounds use vxm over @p A, pull rounds use mxv over the
- * transpose @p At when the frontier exceeds @p pull_threshold x |V|.
+/*
+ * Direction-optimizing bfs (GraphBLAST style). The three entry points
+ * below share one round body (la_bfs.cpp): bfs()'s round of
+ * dispatch_spmv + assign_scalar, with dist as both the complemented
+ * value mask and the assign target, routed through grb::SpmvDispatcher
+ * over (A, At). Push rounds run vxm over @p A; pull rounds run the
+ * full-height mxv over the transpose @p At, skipping visited rows and
+ * stopping each row scan at the first frontier parent. A thinned
+ * dense pull output is sparsified so later rounds can push again. The
+ * entry points differ only in who picks the direction and in the
+ * execution mode; all return the same dist as bfs().
  */
+
+/// Direction per round from a fixed threshold: pull when the frontier
+/// holds more than @p pull_threshold x |V| vertices, else push.
 grb::Vector<uint32_t> bfs_pushpull(const grb::Matrix<uint8_t>& A,
                                    const grb::Matrix<uint8_t>& At,
                                    grb::Index source,
                                    double pull_threshold = 0.05);
 
-/**
- * bfs with the direction chosen per round by grb::SpmvDispatcher's
- * cost model (frontier out-degree vs. masked pull candidates, with
- * hysteresis). Maintains a dense visited vector whose presence
- * bitmap holds exactly the discovered vertices and uses it as a
- * structural complement mask, so pull rounds run the full-height mxv
- * over @p At, skipping visited rows and stopping each row scan at the
- * first frontier parent. @p force overrides the cost model (the
- * ablation bench's forced-push / forced-pull modes).
- */
+/// Direction per round from grb::SpmvDispatcher's cost model (frontier
+/// out-degree vs. masked pull candidates, with hysteresis). Runs in the
+/// caller's execution mode (eager by default). @p force overrides the
+/// cost model (the ablation bench's forced-push / forced-pull modes).
 grb::Vector<uint32_t> bfs_auto(const grb::Matrix<uint8_t>& A,
                                const grb::Matrix<uint8_t>& At,
                                grb::Index source,
                                grb::Direction force = grb::Direction::kAuto);
 
-/**
- * bfs written as plain dispatch_spmv + assign_scalar rounds in
- * non-blocking mode: the lazy fusion planner recognizes the chain and
- * runs the assign inside the SpMV kernel's per-entry sink, one pass per
- * round, with the direction chosen by grb::SpmvDispatcher and the
- * previous frontier's storage recycled. The loop-fusion future work of
- * the paper's Section VI, recovered from unfused source. Identical
- * output to bfs(). @p force overrides the cost model (ablation modes).
- */
+/// bfs_auto in non-blocking mode: the lazy fusion planner runs each
+/// round's assign inside the SpMV kernel's per-entry sink, one pass per
+/// round, the loop fusion of the paper's Section VI recovered from
+/// unfused source. Same directions and output as bfs_auto.
 grb::Vector<uint32_t> bfs_lazy(const grb::Matrix<uint8_t>& A,
                                const grb::Matrix<uint8_t>& At,
                                grb::Index source,

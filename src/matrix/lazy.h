@@ -50,7 +50,12 @@
  * In blocking mode the recorders execute the node immediately after
  * attaching it, so the same algorithm source runs either mode and
  * fusion is naturally disabled — this is what the lazy-vs-eager
- * equivalence suite exploits.
+ * equivalence suite exploits, and how la::bfs_auto and la::bfs_lazy
+ * share one round body. Results are identical to the eager ops, but
+ * the execution is not: the SpMV recorders still hand their output
+ * handle's spare buffer to the kernel as its recycle buffer, so a
+ * blocking-mode run materializes fewer bytes (kBytesMaterialized)
+ * than the same ops called on plain vectors.
  */
 
 #include <atomic>
@@ -194,6 +199,69 @@ make_assign_sink(Vector<MT>& target, MT value)
     return sink;
 }
 
+/**
+ * A pending SpMV node whose run() calls @p kernel(sink). Both SpMV
+ * recorders share this plumbing: the per-entry sink applies an
+ * absorbed transform and then an absorbed mask assign, the assign's
+ * prepare/finish bracket the kernel, and the absorb hooks rewrite the
+ * plan until the node runs. @p mask identifies the SpMV's mask operand
+ * (see LazyNode::spmv_mask_id).
+ */
+template <typename T, typename Kernel>
+std::shared_ptr<LazyNode<T>>
+make_spmv_node(const void* mask, Kernel kernel)
+{
+    auto state = std::make_shared<SpmvState<T>>();
+    auto node = std::make_shared<LazyNode<T>>();
+    node->spmv_mask_id = mask;
+    node->run = [state, kernel = std::move(kernel)]() {
+        auto extras = [state](Index i, T& v) {
+            if (state->transform) {
+                v = state->transform(v);
+            }
+            if (state->has_assign &&
+                (state->assign_structural || v != T{0})) {
+                state->sink.assign_at(i);
+            }
+        };
+        if (state->has_assign && state->sink.prepare) {
+            state->sink.prepare();
+        }
+        kernel(extras);
+        if (state->has_assign && state->sink.finish) {
+            state->sink.finish();
+        }
+    };
+    node->absorb_transform = [state](std::function<T(T)> fn) {
+        if (state->has_assign) {
+            // Eager order would be assign-then-apply; fusing the
+            // transform in would reorder it before the assign's value
+            // test. Refuse; the caller falls back.
+            return false;
+        }
+        if (state->transform) {
+            auto prev = std::move(state->transform);
+            state->transform = [prev = std::move(prev),
+                                fn = std::move(fn)](T v) {
+                return fn(prev(v));
+            };
+        } else {
+            state->transform = std::move(fn);
+        }
+        return true;
+    };
+    node->absorb_mask_assign = [state](bool structural, AssignSink sink) {
+        if (state->has_assign) {
+            return false;
+        }
+        state->has_assign = true;
+        state->assign_structural = structural;
+        state->sink = std::move(sink);
+        return true;
+    };
+    return node;
+}
+
 } // namespace detail
 
 /**
@@ -293,12 +361,12 @@ class LazyVector : public detail::Flushable
         value_.fill(v);
     }
 
-    /// Replace the contents with @p v.
+    /// Convert the value to sparse storage (forces).
     void
-    assign_value(Vector<T> v)
+    sparsify()
     {
-        prepare_record();
-        value_ = std::move(v);
+        materialize();
+        value_.sparsify();
     }
 
     /// Exchange the materialized value with @p other; both stay valid.
@@ -342,7 +410,8 @@ class LazyVector : public detail::Flushable
     }
 
     /// Attach a freshly recorded node. Blocking mode executes it on the
-    /// spot, making the recorders behave exactly like the eager ops.
+    /// spot, so the recorders return the eager ops' results (see the
+    /// file comment for what still differs).
     void
     adopt(std::shared_ptr<detail::LazyNode<T>> node)
     {
@@ -384,58 +453,14 @@ dispatch_spmv(SpmvDispatcher<T>& dispatcher, LazyVector<T>& w,
               const Vector<T>& u)
 {
     w.prepare_record();
-    auto state = std::make_shared<detail::SpmvState<T>>();
-    auto node = std::make_shared<detail::LazyNode<T>>();
-    node->spmv_mask_id = static_cast<const void*>(mask);
     LazyVector<T>* wp = &w;
     const Vector<T>* up = &u;
     SpmvDispatcher<T>* dp = &dispatcher;
-    node->run = [state, dp, wp, up, mask, desc]() {
-        auto extras = [state](Index j, T& v) {
-            if (state->transform) {
-                v = state->transform(v);
-            }
-            if (state->has_assign &&
-                (state->assign_structural || v != T{0})) {
-                state->sink.assign_at(j);
-            }
-        };
-        if (state->has_assign && state->sink.prepare) {
-            state->sink.prepare();
-        }
-        dp->template dispatch_spmv<Semiring>(wp->storage(), mask, desc,
-                                             *up, extras, &wp->spare());
-        if (state->has_assign && state->sink.finish) {
-            state->sink.finish();
-        }
-    };
-    node->absorb_transform = [state](std::function<T(T)> fn) {
-        if (state->has_assign) {
-            // Eager order would be assign-then-apply; fusing the
-            // transform in would reorder it before the assign's value
-            // test. Refuse; the caller falls back.
-            return false;
-        }
-        if (state->transform) {
-            auto prev = std::move(state->transform);
-            state->transform = [prev = std::move(prev),
-                                fn = std::move(fn)](T v) {
-                return fn(prev(v));
-            };
-        } else {
-            state->transform = std::move(fn);
-        }
-        return true;
-    };
-    node->absorb_mask_assign = [state](bool structural, AssignSink sink) {
-        if (state->has_assign) {
-            return false;
-        }
-        state->has_assign = true;
-        state->assign_structural = structural;
-        state->sink = std::move(sink);
-        return true;
-    };
+    auto node = detail::make_spmv_node<T>(
+        mask, [dp, wp, up, mask, desc](const auto& sink) {
+            dp->template dispatch_spmv<Semiring>(wp->storage(), mask, desc,
+                                                 *up, sink, &wp->spare());
+        });
     w.adopt(std::move(node));
 }
 
@@ -492,69 +517,28 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         u.materialize();
     }
     w.prepare_record();
-    auto state = std::make_shared<detail::SpmvState<T>>();
-    auto node = std::make_shared<detail::LazyNode<T>>();
-    node->spmv_mask_id = static_cast<const void*>(mask);
     LazyVector<T>* wp = &w;
     LazyVector<T>* up = &u;
     const Matrix<T>* ap = &A;
-    node->run = [state, wp, up, ap, mask, desc,
-                 mult = std::move(mult)]() {
-        auto extras = [state](Index i, T& v) {
-            if (state->transform) {
-                v = state->transform(v);
+    auto node = detail::make_spmv_node<T>(
+        mask, [wp, up, ap, mask, desc,
+               mult = std::move(mult)](const auto& sink) {
+            const Vector<T>* operand = &up->storage();
+            if (mult.has_value()) {
+                // The subsumed producer's product, computed into u's
+                // recycled spare buffer: no fresh intermediate is ever
+                // allocated, and the pull kernel reads plain dense
+                // arrays (a per-edge type-erased multiply was measured
+                // slower than this one extra vertex-sized pass).
+                Vector<T>& scratch = up->spare();
+                ewise_mult_recycle(scratch, up->size(), mult->a_present,
+                                   mult->a_vals, mult->b_present,
+                                   mult->b_vals, mult->fn);
+                operand = &scratch;
             }
-            if (state->has_assign &&
-                (state->assign_structural || v != T{0})) {
-                state->sink.assign_at(i);
-            }
-        };
-        if (state->has_assign && state->sink.prepare) {
-            state->sink.prepare();
-        }
-        const Vector<T>* operand = &up->storage();
-        if (mult.has_value()) {
-            // The subsumed producer's product, computed into u's
-            // recycled spare buffer: no fresh intermediate is ever
-            // allocated, and the pull kernel reads plain dense arrays
-            // (a per-edge type-erased multiply was measured slower
-            // than this one extra vertex-sized pass).
-            Vector<T>& scratch = up->spare();
-            ewise_mult_recycle(scratch, up->size(), mult->a_present,
-                               mult->a_vals, mult->b_present,
-                               mult->b_vals, mult->fn);
-            operand = &scratch;
-        }
-        grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, *operand,
-                           extras, &wp->spare());
-        if (state->has_assign && state->sink.finish) {
-            state->sink.finish();
-        }
-    };
-    node->absorb_transform = [state](std::function<T(T)> fn) {
-        if (state->has_assign) {
-            return false;
-        }
-        if (state->transform) {
-            auto prev = std::move(state->transform);
-            state->transform = [prev = std::move(prev),
-                                fn = std::move(fn)](T v) {
-                return fn(prev(v));
-            };
-        } else {
-            state->transform = std::move(fn);
-        }
-        return true;
-    };
-    node->absorb_mask_assign = [state](bool structural, AssignSink sink) {
-        if (state->has_assign) {
-            return false;
-        }
-        state->has_assign = true;
-        state->assign_structural = structural;
-        state->sink = std::move(sink);
-        return true;
-    };
+            grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, *operand,
+                               sink, &wp->spare());
+        });
     if (fuse_input) {
         u.subsume_into(node);
         metrics::bump(metrics::kFusedChains);

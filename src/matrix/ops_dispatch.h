@@ -5,9 +5,11 @@
  * Direction-optimizing SpMV dispatch.
  *
  * The paper's LAGraph implementations hardwire a traversal direction
- * per app (la_bfs is pure push, la_bfs_pushpull switches on a fixed
- * frontier-size threshold) and pay the matrix API's full pull cost —
- * every row, every edge — whenever they do pull. GraphBLAST showed the
+ * per app (la::bfs is pure push, and a push/pull bfs switches on a
+ * fixed frontier-size threshold) and pay the matrix API's full pull
+ * cost — every row, every edge — whenever they do pull.
+ * la::bfs_pushpull keeps that threshold policy by forcing the
+ * direction per round through this dispatcher. GraphBLAST showed the
  * direction decision belongs *inside* the SpMV operation, where the
  * frontier, the mask, and the matrix are all visible at once.
  *

@@ -186,7 +186,14 @@ class ObimWorklist
         metrics::bump(metrics::kPushes);
 
         // Watermark maintenance: lower the scan cursor, raise the upper
-        // bound. Both are hints; correctness comes from pending_.
+        // bound. Both are scan hints. Safety comes from pending_: no
+        // item is lost and the executor stops only once it reaches 0.
+        // Liveness needs more, because the cursor can pass a live item:
+        // a scan passes an empty bin q, this push lands in q without
+        // lowering a cursor that is <= q, and the scan then pops a bin
+        // p > q and raises the cursor to p. pop_batch therefore starts
+        // every scan after an empty one at bin 0, so a live item below
+        // the cursor is found by the next idle scan.
         std::size_t cursor = cursor_.load(std::memory_order_relaxed);
         while (priority < cursor &&
                !cursor_.compare_exchange_weak(cursor, priority,
@@ -209,6 +216,9 @@ class ObimWorklist
         // feeds the tracer's scheduler-stall attribution, mirroring the
         // idle-episode tracking in for_each.
         uint64_t idle_since_ns = 0;
+        // Set after an empty scan: the cursor may have been raised past
+        // a live item (see push), so the retry scans from bin 0.
+        bool rescan_from_zero = false;
         while (true) {
             // Cancellation / abort point: once per scan, so a tripped
             // token stops the executor within one batch.
@@ -226,9 +236,11 @@ class ObimWorklist
             // relaxed: both watermarks are scan hints. A too-high
             // cursor or too-low top can only make this scan miss a bin;
             // the empty-scan path re-checks pending_ (acquire) and
-            // retries, so no item is ever lost to a stale hint.
-            const std::size_t start =
-                cursor_.load(std::memory_order_relaxed);
+            // retries from bin 0, so no item is stranded by a stale
+            // hint.
+            const std::size_t start = rescan_from_zero
+                ? 0
+                : cursor_.load(std::memory_order_relaxed);
             const std::size_t limit = top_.load(std::memory_order_relaxed);
             for (std::size_t p = start; p < limit; ++p) {
                 // acquire: pairs with the release in bin()'s CAS so the
@@ -256,6 +268,11 @@ class ObimWorklist
                                      trace::StallKind::kObimPop);
                     }
                     metrics::bump(metrics::kSteals, got);
+                    // Fuzz point: widen the window in which a push
+                    // into a bin below p can land before the cursor
+                    // moves past it.
+                    check::fuzz::maybe_yield(
+                        check::fuzz::Site::kObimCursor);
                     // Advance the cursor hint past drained bins.
                     std::size_t cursor =
                         cursor_.load(std::memory_order_relaxed);
@@ -274,6 +291,7 @@ class ObimWorklist
             }
             metrics::bump(metrics::kBackoffs);
             backoff.wait();
+            rescan_from_zero = true;
             // acquire: pairs with finish_item's release half, so a
             // thread observing pending == 0 also observes every side
             // effect of the operators whose completion drove it to 0 —

@@ -195,6 +195,54 @@ TEST_P(LagraphTest, LazyBfsNeedsFewerPassesThanBasicBfs)
     EXPECT_LT(fused[metrics::kPasses], basic[metrics::kPasses]);
 }
 
+TEST(LagraphBfs, LazyAndEagerAutoBfsTakeTheSameDirections)
+{
+    // bfs_auto and bfs_lazy share one round body and differ only in
+    // execution mode, so they must agree on the answer *and* on every
+    // per-round push/pull decision. The power-law graph makes the
+    // dispatcher pull through the frontier's peak and return to push
+    // for the tail, which needs the thinned dense pull output
+    // sparsified in both modes.
+    rt::set_num_threads(4);
+    EdgeList list = graph::rmat(13, 16, 2024);
+    graph::remove_self_loops(list);
+    graph::symmetrize(list);
+    const Graph graph = Graph::from_edge_list(list, true);
+    const auto A = grb::Matrix<uint8_t>::from_graph(graph, false);
+    const auto At = A.transpose();
+    const Node source = graph::highest_degree_node(graph);
+    for (const auto backend :
+         {grb::Backend::kReference, grb::Backend::kParallel}) {
+        const grb::BackendScope scope(backend);
+        for (const auto force :
+             {grb::Direction::kAuto, grb::Direction::kPush,
+              grb::Direction::kPull}) {
+            metrics::Interval eager_interval;
+            const auto eager = la::bfs_auto(A, At, source, force);
+            const auto eager_delta = eager_interval.delta();
+            metrics::Interval lazy_interval;
+            const auto lazy = la::bfs_lazy(A, At, source, force);
+            const auto lazy_delta = lazy_interval.delta();
+            const int mode = static_cast<int>(force);
+            EXPECT_EQ(eager.extract_tuples(), lazy.extract_tuples())
+                << "direction mode " << mode;
+            EXPECT_EQ(eager_delta[metrics::kSpmvPushRounds],
+                      lazy_delta[metrics::kSpmvPushRounds])
+                << "direction mode " << mode;
+            EXPECT_EQ(eager_delta[metrics::kSpmvPullRounds],
+                      lazy_delta[metrics::kSpmvPullRounds])
+                << "direction mode " << mode;
+            EXPECT_EQ(lazy_delta[metrics::kLazyFallbacks], 0u)
+                << "direction mode " << mode;
+            if (force == grb::Direction::kAuto) {
+                // The case the test exists for: both directions ran.
+                EXPECT_GT(eager_delta[metrics::kSpmvPushRounds], 1u);
+                EXPECT_GT(eager_delta[metrics::kSpmvPullRounds], 0u);
+            }
+        }
+    }
+}
+
 TEST_P(LagraphTest, FastSvMatchesUnionFind)
 {
     const auto A = grb::Matrix<uint32_t>::from_graph(graph_, false);

@@ -12,6 +12,11 @@
 #include <numeric>
 #include <thread>
 
+#include "check/fuzz.h"
+#include "graph/builder.h"
+#include "graph/generators.h"
+#include "graph/properties.h"
+#include "lonestar/lonestar.h"
 #include "runtime/chase_lev.h"
 #include "runtime/for_each.h"
 #include "runtime/insert_bag.h"
@@ -21,6 +26,7 @@
 #include "runtime/thread_pool.h"
 #include "support/cancel.h"
 #include "support/random.h"
+#include "verify/reference.h"
 
 namespace gas::rt {
 namespace {
@@ -218,6 +224,77 @@ TEST(RuntimeStress, ObimClampsHugePriorities)
         [](unsigned item) { return item * 1000000000u; }, // clamped
         [&](unsigned, OrderedContext<unsigned>&) { count += 1; });
     EXPECT_EQ(count.reduce(), 3u);
+}
+
+TEST(RuntimeStress, ObimSsspFinishesBeforeDeadline)
+{
+    // Regression for an OBIM liveness bug: a popper could raise the
+    // scan cursor past an item pushed concurrently into a bin it had
+    // already scanned, and every later scan started at the cursor, so
+    // the item was never popped and sssp spun with pending work. Each
+    // run gets a deadline (pop_batch polls it once per scan), so a
+    // stall fails here in seconds rather than at the ctest timeout.
+    //
+    // The checked build (GAS_CHECK=ON) installs kSeed unless
+    // GAS_CHECK_SEED set one: its yields at the kObimCursor fuzz site
+    // widen the pop-to-cursor-CAS window. With the bug, this seed
+    // stalled the first runs of this test.
+    constexpr uint64_t kSeed = 11;
+    constexpr uint64_t kDeadlineMs = 5000;
+    constexpr int kReps = 25;
+    struct SeedGuard
+    {
+        bool owned = !check::fuzz::active();
+        SeedGuard()
+        {
+            if (owned) {
+                check::fuzz::set_seed(kSeed);
+            }
+        }
+        ~SeedGuard()
+        {
+            if (owned) {
+                check::fuzz::set_seed(0);
+            }
+        }
+    } seed_guard;
+
+    std::vector<graph::Graph> graphs;
+    for (graph::EdgeList list :
+         {graph::rmat(9, 8, 17), graph::erdos_renyi(400, 2400, 23),
+          graph::grid2d(12, 9, 5, 0.0), graph::star(41)}) {
+        graph::remove_self_loops(list);
+        graph::symmetrize(list);
+        graph::randomize_weights(list, 4242, 1, 64);
+        graphs.push_back(graph::Graph::from_edge_list(list, true));
+    }
+    for (const unsigned threads : {4u, 8u}) {
+        set_num_threads(threads);
+        for (std::size_t g = 0; g < graphs.size(); ++g) {
+            const graph::Node source =
+                graph::highest_degree_node(graphs[g]);
+            const auto expected = verify::dijkstra(graphs[g], source);
+            for (int rep = 0; rep < kReps; ++rep) {
+                for (const uint64_t delta : {1u, 16u, 8192u}) {
+                    ls::SsspOptions options;
+                    options.delta = delta;
+                    CancelToken token;
+                    token.set_deadline_ms(kDeadlineMs);
+                    std::vector<uint64_t> dist;
+                    {
+                        CancelScope scope(token);
+                        dist = ls::sssp(graphs[g], source, options);
+                    }
+                    ASSERT_EQ(token.code(), StatusCode::kOk)
+                        << "OBIM stalled with pending work: graph " << g
+                        << ", " << threads << " threads, delta " << delta
+                        << ", rep " << rep;
+                    ASSERT_EQ(dist, expected) << "graph " << g;
+                }
+            }
+        }
+    }
+    set_num_threads(4);
 }
 
 TEST(RuntimeStress, InsertBagHeavyMixedUse)
