@@ -112,6 +112,44 @@ class MaskView
             structural_, complement_);
     }
 
+    /**
+     * Call fn(j, test(j)) for every j in [lo, hi), in column order; the
+     * view must hold a mask. A dense mask is probed per column; a
+     * sparse one is walked alongside the columns (one binary search per
+     * call), so the range costs O(hi - lo) plus its mask entries, never
+     * a search per column.
+     */
+    template <typename Fn>
+    void
+    scan(Index lo, Index hi, Fn&& fn) const
+    {
+        // Locals, not members: fn's byte stores could alias them, which
+        // would reload every one of them per column.
+        const bool structural = structural_;
+        const bool complement = complement_;
+        if (mask_->format() == VectorFormat::kDense) {
+            const uint8_t* const present = mask_->dense_presence().data();
+            const MT* const values = mask_->dense_values().data();
+            for (Index j = lo; j < hi; ++j) {
+                fn(j, mask_entry_true(present[j] != 0, values[j],
+                                      structural, complement));
+            }
+        } else {
+            const auto& idx = mask_->sparse_indices();
+            const Index* const first = idx.data();
+            const Index* const last = first + idx.size();
+            const MT* const values = mask_->sparse_values().data();
+            const Index* at = std::lower_bound(first, last, lo);
+            for (Index j = lo; j < hi; ++j) {
+                const bool present = at != last && *at == j;
+                fn(j, mask_entry_true(present,
+                                      present ? values[at - first] : MT{0},
+                                      structural, complement));
+                at += present ? 1 : 0;
+            }
+        }
+    }
+
   private:
     const Vector<MT>* mask_;
     bool complement_;
@@ -149,7 +187,15 @@ atomic_accum(T& slot, T value, AddFn&& add)
     }
 }
 
+/// SPA occupancy flag of a slot the scatter has claimed (see
+/// SpaWorkspace).
+inline constexpr uint8_t kClaimed = 1;
+/// SPA occupancy flag of a slot the mask rejects, set before the
+/// scatter (see SpaWorkspace).
+inline constexpr uint8_t kMaskedOut = 2;
+
 /// Atomic claim of an SPA slot; returns true for the first claimant.
+/// A slot already claimed or kMaskedOut is never claimed.
 inline bool
 atomic_claim(uint8_t& flag)
 {
@@ -157,7 +203,7 @@ atomic_claim(uint8_t& flag)
     if (ref.load(std::memory_order_relaxed) != 0) {
         return false;
     }
-    return ref.exchange(1, std::memory_order_relaxed) == 0;
+    return ref.exchange(kClaimed, std::memory_order_relaxed) == 0;
 }
 
 /**
@@ -165,10 +211,19 @@ atomic_claim(uint8_t& flag)
  * identity plus occupancy flags, sized to the largest vector seen.
  *
  * One workspace is cached per (scalar type, semiring) template
- * instantiation. Outside an operation every value holds the identity
- * and every flag is clear; the operation that dirtied slots restores
- * them in the same pass that reads them out (vxm's compaction), so no
- * operation pays an O(dimension) reset.
+ * instantiation. Each occupancy flag is in one of three states:
+ *
+ *  - 0, free: the value holds the identity.
+ *  - kClaimed: a scatter wrote the slot (atomic_claim).
+ *  - kMaskedOut: a masked vxm marked the column as rejected before its
+ *    scatter; for a semiring with an absorbing element the value holds
+ *    absorbing(), so atomic_accum stops at its first load and
+ *    atomic_claim never claims the slot.
+ *
+ * Outside an operation every value holds the identity and every flag
+ * is free; the operation that dirtied slots restores them in the same
+ * pass that reads them out (vxm's compaction), so no operation pays an
+ * extra O(dimension) reset.
  */
 template <typename T, typename Semiring>
 class SpaWorkspace

@@ -269,10 +269,11 @@ dense_spa_pays(const Vector<T>& u, const Matrix<T>& A)
 }
 
 /**
- * Call fn(j) for each set flag j in [lo, hi) of @p occ, in order. The
- * flags are 0/1 bytes, so one multiply packs eight of them into a bit
- * mask: a word of clear flags costs one load and one branch, and set
- * flags are visited without a per-column branch to mispredict.
+ * Call fn(j) for each kClaimed flag j in [lo, hi) of @p occ, in order.
+ * Masking each byte to its low bit (kClaimed; kMaskedOut is bit 1)
+ * lets one multiply pack eight flags into a bit mask: a word of free or
+ * masked-out flags costs one load and one branch, and claimed flags
+ * are visited without a per-column branch to mispredict.
  */
 template <typename Fn>
 inline void
@@ -283,7 +284,8 @@ for_each_set_flag(const uint8_t* occ, Index lo, Index hi, Fn&& fn)
         for (; j + 8 <= hi; j += 8) {
             uint64_t word = 0;
             std::memcpy(&word, occ + j, sizeof(word));
-            // Bit k of the top byte is flag j + k (flags are 0 or 1).
+            // Bit k of the top byte is the low bit of flag j + k.
+            word &= 0x0101010101010101ull;
             uint64_t bits = (word * 0x0102040810204080ull) >> 56;
             while (bits != 0) {
                 fn(j + static_cast<Index>(std::countr_zero(bits)));
@@ -292,7 +294,7 @@ for_each_set_flag(const uint8_t* occ, Index lo, Index hi, Fn&& fn)
         }
     }
     for (; j < hi; ++j) {
-        if (occ[j] != 0) {
+        if (occ[j] == kClaimed) {
             fn(j);
         }
     }
@@ -358,7 +360,7 @@ publish_sparse_output(Vector<T>& w, Index size,
  *
  * Output always uses replace semantics (w is overwritten) and is
  * sparse. The scatter writes a cached sparse accumulator (SPA); one
- * compaction then moves the accumulated columns into w, testing the
+ * compaction then moves the accumulated columns into w, applying the
  * mask, running the sink and restoring the SPA slots in the same pass.
  * The compaction is picked from the flop count f (the summed row
  * lengths of u's entries, SuiteSparse saxpy3's rule):
@@ -383,9 +385,24 @@ publish_sparse_output(Vector<T>& w, Index size,
  * compaction itself runs under a CancelShield: it is bounded, and one
  * cut short would leave stale slots in the cached SPA.
  *
- * The mask is tested once per touched column, at compaction. Testing a
- * dense mask per scattered edge instead was measured slower on
- * power-law graphs (EXPERIMENTS.md, "Loop-fusion headroom").
+ * Masks. In dense-SPA mode a mask is folded into the SPA before the
+ * scatter (SuiteSparse saxpy3's mask scatter): one shielded pass over
+ * [0, ncols) flags each rejected column kMaskedOut and, for a semiring
+ * with an absorbing element, sets its value to absorbing(). The
+ * scatter's per-edge loop is the same with or without a mask; its own
+ * early-outs skip the marked columns — atomic_accum stops at its first
+ * load (add(absorbing, x) == absorbing) and atomic_claim does not
+ * claim a non-free flag — so bfs under its complemented visited mask
+ * stops claiming columns it already reached. The compaction counts
+ * and emits only kClaimed slots, with no mask test, and resets each
+ * marked block to free/identity after emitting it. The pass costs
+ * O(ncols + nnz(mask)) <= kDenseSpaFlopRatio * f + nnz(mask). An
+ * explicit per-edge test of the kMaskedOut flag instead was measured
+ * slower: it doubled the largest bfs-social round at 2 threads (the
+ * branch mispredicts on hub-heavy frontiers; EXPERIMENTS.md,
+ * "Mask pre-mark in push vxm"). In sparse-SPA mode, whose flop count
+ * cannot pay for an O(ncols) pass, the mask is tested once per touched
+ * column at compaction.
  */
 template <typename Semiring, typename T, typename MT = uint8_t,
           typename Sink = NoSink>
@@ -403,7 +420,39 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     T* const acc = spa.values();
     uint8_t* const occ = spa.occupied();
     const bool dense_spa = detail::dense_spa_pays(u, A);
+    const bool premark = dense_spa && mask != nullptr;
     rt::InsertBag<Index> touched;
+    const MaskView<MT> view(mask, desc);
+
+    // The dense-SPA passes (pre-mark, count, emit) split [0, ncols)
+    // into the same column blocks.
+    const Index ncols = A.ncols();
+    const std::size_t nblocks =
+        (ncols + detail::kSpaScanBlock - 1) / detail::kSpaScanBlock;
+    auto block_lo = [](std::size_t b) {
+        return static_cast<Index>(b * detail::kSpaScanBlock);
+    };
+    auto block_hi = [&](std::size_t b) {
+        return std::min<Index>(ncols, block_lo(b) + detail::kSpaScanBlock);
+    };
+    const rt::LoopOptions per_block{backend_schedule().schedule, 1};
+
+    if (premark) {
+        // Every slot is free here, so each one is written
+        // unconditionally: no per-column branch. occ and acc are
+        // captured by value so the byte stores cannot alias them.
+        auto mark = [occ, acc](Index j, bool keep) {
+            occ[j] = keep ? uint8_t{0} : kMaskedOut;
+            if constexpr (HasAbsorbing<Semiring>) {
+                acc[j] = keep ? Semiring::identity() : Semiring::absorbing();
+            }
+        };
+        CancelShield shield;
+        rt::do_all(
+            nblocks,
+            [&](std::size_t b) { view.scan(block_lo(b), block_hi(b), mark); },
+            per_block);
+    }
 
     // Scatter one row of A scaled by x; every edge is one accumulator
     // write, so the caller bills end - begin writes per row.
@@ -424,20 +473,19 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     };
     detail::for_each_push_row(u, A, scatter_row);
 
-    // Compact the SPA into w. A slot is occupied exactly once per
+    // Compact the SPA into w. A slot is claimed at most once per
     // column (atomic_claim), so sink(j, .) runs at most once per j.
-    const MaskView<MT> view(mask, desc);
     Vector<T> result = detail::take_output(A.ncols(), recycle);
     auto& oidx = result.sparse_indices();
     auto& ovals = result.sparse_values();
-    // Take an occupied slot out of the SPA, restoring its invariant.
+    // Take a claimed slot out of the SPA, restoring its invariant.
     auto take = [&](Index j) {
         const T value = acc[j];
         acc[j] = Semiring::identity();
         occ[j] = 0;
         return value;
     };
-    // Drop the masked-out occupied slots that for_occupied visits and
+    // Drop the masked-out claimed slots that for_occupied visits and
     // count the rest.
     auto count_kept = [&](auto&& for_occupied) {
         std::size_t kept = 0;
@@ -450,7 +498,7 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         });
         return kept;
     };
-    // Move the occupied slots that for_occupied visits into w from `at`.
+    // Move the claimed slots that for_occupied visits into w from `at`.
     auto emit = [&](auto&& for_occupied, std::size_t at) {
         for_occupied([&](Index j) {
             T value = take(j);
@@ -462,30 +510,40 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     };
     CancelShield shield;
     if (dense_spa) {
-        // Count per column block, then write each block at its prefix
-        // offset, so the output is in column order whatever the
-        // schedule.
-        const Index ncols = A.ncols();
-        const std::size_t nblocks =
-            (ncols + detail::kSpaScanBlock - 1) / detail::kSpaScanBlock;
+        // Count the claimed slots per column block (the mask is already
+        // in the flags), then write each block at its prefix offset, so
+        // the output is in column order whatever the schedule.
         auto block = [&](std::size_t b) {
-            const auto lo = static_cast<Index>(b * detail::kSpaScanBlock);
-            const Index hi = std::min<Index>(ncols, lo + detail::kSpaScanBlock);
-            return [=](auto&& fn) {
+            return [=, lo = block_lo(b), hi = block_hi(b)](auto&& fn) {
                 detail::for_each_set_flag(occ, lo, hi, fn);
             };
         };
-        const rt::LoopOptions per_block{backend_schedule().schedule, 1};
         std::vector<std::size_t> offsets(nblocks + 1, 0);
         rt::do_all(
             nblocks,
-            [&](std::size_t b) { offsets[b + 1] = count_kept(block(b)); },
+            [&](std::size_t b) {
+                std::size_t claimed = 0;
+                block(b)([&](Index) { ++claimed; });
+                offsets[b + 1] = claimed;
+            },
             per_block);
         std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
         oidx.resize(offsets[nblocks]);
         ovals.resize(offsets[nblocks]);
         rt::do_all(
-            nblocks, [&](std::size_t b) { emit(block(b), offsets[b]); },
+            nblocks,
+            [&](std::size_t b) {
+                emit(block(b), offsets[b]);
+                if (premark) {
+                    // Only free and kMaskedOut slots are left in the
+                    // block (the scatter may have summed into the
+                    // latter): reset them all.
+                    std::fill(occ + block_lo(b), occ + block_hi(b),
+                              uint8_t{0});
+                    std::fill(acc + block_lo(b), acc + block_hi(b),
+                              Semiring::identity());
+                }
+            },
             per_block);
     } else {
         // Each piece of the touched list counts, claims its output

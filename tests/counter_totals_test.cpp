@@ -57,6 +57,7 @@ const std::vector<Pinned> kExpected = {
     {"csr", "vxm", {43, 374, 374, 374, 0, 0}},
     {"csr", "vxm_masked", {110, 594, 594, 594, 0, 0}},
     {"csr", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
+    {"csr", "vxm_masked_plus", {114, 633, 633, 633, 0, 0}},
     {"csr", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"csr", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"csr", "mxv_sparse_u", {126, 126, 810, 810, 1360, 198}},
@@ -68,6 +69,7 @@ const std::vector<Pinned> kExpected = {
     {"bitmap", "vxm", {43, 374, 374, 374, 0, 0}},
     {"bitmap", "vxm_masked", {110, 594, 594, 594, 0, 0}},
     {"bitmap", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
+    {"bitmap", "vxm_masked_plus", {114, 633, 633, 633, 0, 0}},
     {"bitmap", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"bitmap", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"bitmap", "mxv_sparse_u", {126, 126, 810, 810, 1360, 136}},
@@ -79,6 +81,7 @@ const std::vector<Pinned> kExpected = {
     {"sell", "vxm", {43, 374, 374, 374, 0, 0}},
     {"sell", "vxm_masked", {110, 594, 594, 594, 0, 0}},
     {"sell", "vxm_sparse_spa", {1, 30, 30, 30, 0, 0}},
+    {"sell", "vxm_masked_plus", {114, 633, 633, 633, 0, 0}},
     {"sell", "mxv_full", {3160, 371, 3160, 3160, 0, 0}},
     {"sell", "mxv_partial", {812, 220, 3160, 3160, 0, 0}},
     {"sell", "mxv_sparse_u", {126, 126, 810, 810, 1360, 198}},
@@ -182,6 +185,8 @@ run_all(StorageFormat format)
     const auto visited = sample_vector<uint8_t>(n, 0.4, 14, true);
     const auto sparse_mask = sample_vector<uint8_t>(n, 0.5, 15, false);
     const auto v_partial = sample_vector<uint64_t>(n, 0.6, 16, true);
+    const auto d_sparse = sample_vector<double>(n, 0.2, 17, false);
+    const auto paths = sample_vector<double>(n, 0.4, 18, true);
 
     std::vector<std::pair<std::string, Totals>> runs;
     Vector<uint64_t> w;
@@ -191,8 +196,8 @@ run_all(StorageFormat format)
         grb::vxm<grb::PlusTimes<uint64_t>>(w, grb::kDefaultDesc,
                                            u_sparse, A);
     }));
-    // The la::bfs round shape: a dense complemented value mask, applied
-    // when the accumulator is compacted.
+    // The la::bfs round shape: a dense complemented value mask, marked
+    // into the dense accumulator before the scatter.
     runs.emplace_back("vxm_masked", measure([&] {
         grb::vxm<grb::LorLand>(wb, &visited, grb::kComplementReplaceDesc,
                                b_sparse, Ab);
@@ -212,6 +217,13 @@ run_all(StorageFormat format)
     runs.emplace_back("vxm_sparse_spa", measure([&] {
         grb::vxm<grb::LorLand>(wb, &visited, grb::kComplementReplaceDesc,
                                b_one, Ab);
+    }));
+    // The la::bc forward-round shape: PLUS_TIMES over doubles under a
+    // complemented value mask (the path counts), in dense-SPA mode.
+    runs.emplace_back("vxm_masked_plus", measure([&] {
+        grb::vxm<grb::PlusTimes<double>>(wd, &paths,
+                                         grb::kComplementReplaceDesc,
+                                         d_sparse, Ad);
     }));
     runs.emplace_back("mxv_full", measure([&] {
         grb::mxv<grb::PlusTimes<double>>(wd, grb::kDefaultDesc, Ad,

@@ -511,5 +511,97 @@ TEST(GrbVxmSpa, VxmSparseAndDenseSpaAgree)
     }
 }
 
+/// LorLandU64 with OR's absorbing element, so masked dense-SPA vxm
+/// pre-sets rejected accumulator slots to it.
+struct AbsorbingLorLandU64 : LorLandU64
+{
+    static constexpr uint64_t absorbing() { return 1; }
+};
+
+TEST(GrbVxmSpa, MaskPremarkLeavesSpaClean)
+{
+    // Dense-SPA vxm folds its mask into the cached accumulator before
+    // the scatter. After every masked run, an unmasked run of the same
+    // semiring (the same SpaWorkspace) must match the oracle exactly:
+    // a kMaskedOut flag or an absorbing value left behind would drop or
+    // corrupt columns there.
+    const Index n = 4096;
+    const auto A = varied_matrix<uint64_t>(
+        n, 511, [](Rng& rng) { return 1 + rng.next_bounded(9); });
+    const auto u = random_vector(n, 0.5, 512, true);
+
+    // Dense value mask with present-but-zero entries.
+    auto value_mask = random_vector(n, 0.4, 513, true);
+    for (Index j = 0; j < n; j += 3) {
+        value_mask.set_element(j, 0);
+    }
+    // Sparse mask below 1/32 occupancy, so MaskView walks it sparse;
+    // it too holds present-but-zero entries.
+    auto sparse_mask = random_vector(n, 0.02, 514, false);
+    for (Index j = 0; j < n; j += 97) {
+        sparse_mask.set_element(j, 0);
+    }
+    ASSERT_EQ(sparse_mask.format(), VectorFormat::kSparse);
+    ASSERT_LT(sparse_mask.nvals() * 32, static_cast<Nnz>(n));
+
+    Descriptor complement;
+    complement.mask_complement = true;
+    Descriptor structural;
+    structural.structural_mask = true;
+    struct MaskCase
+    {
+        const char* name;
+        const Vector<uint64_t>* mask;
+        Descriptor desc;
+    };
+    const MaskCase cases[] = {
+        {"complemented dense value mask", &value_mask, complement},
+        {"sparse mask", &sparse_mask, kDefaultDesc},
+        {"structural mask", &value_mask, structural},
+    };
+    auto keeps = [](const MaskCase& c, Index j) {
+        const bool present_true = c.desc.structural_mask
+            ? c.mask->get_element(j).has_value()
+            : c.mask->mask_true(j);
+        return c.desc.mask_complement ? !present_true : present_true;
+    };
+    auto run = [&](auto semiring) {
+        using S = decltype(semiring);
+        const Model full = vxm_oracle<S>(u, A);
+        for (const MaskCase& c : cases) {
+            SCOPED_TRACE(c.name);
+            Model masked;
+            for (const auto& [j, x] : full) {
+                if (keeps(c, j)) {
+                    masked[j] = x;
+                }
+            }
+            ASSERT_FALSE(masked.empty());
+            ASSERT_LT(masked.size(), full.size());
+            Vector<uint64_t> w;
+            vxm<S>(w, c.mask, c.desc, u, A);
+            EXPECT_EQ(to_model(w), masked);
+            vxm<S>(w, static_cast<const Vector<uint64_t>*>(nullptr),
+                   kDefaultDesc, u, A);
+            EXPECT_EQ(to_model(w), full);
+        }
+    };
+
+    rt::set_num_threads(4);
+    for (const Backend backend : {Backend::kParallel, Backend::kReference}) {
+        BackendScope scope(backend);
+        SCOPED_TRACE(backend == Backend::kParallel ? "Parallel"
+                                                   : "Reference");
+        {
+            SCOPED_TRACE("LorLand (absorbing)");
+            run(AbsorbingLorLandU64{});
+        }
+        {
+            SCOPED_TRACE("PlusTimes");
+            run(PlusTimes<uint64_t>{});
+        }
+    }
+}
+
 } // namespace
 } // namespace gas::grb

@@ -336,6 +336,83 @@ TEST(Cancellation, VxmCutMidScatterLeavesCleanAccumulator)
     }
 }
 
+/// LorLand over uint64 with OR's absorbing element, whose multiply
+/// trips a token after a fixed number of products.
+struct TrippingLorLand
+{
+    using Value = uint64_t;
+    static inline std::atomic<uint64_t> products{0};
+    static inline std::atomic<uint64_t> trip_after{0};
+    static inline CancelToken* token = nullptr;
+
+    static constexpr uint64_t identity() { return 0; }
+    static constexpr uint64_t absorbing() { return 1; }
+    static constexpr uint64_t add(uint64_t a, uint64_t b)
+    {
+        return (a != 0 || b != 0) ? 1 : 0;
+    }
+    static uint64_t
+    mul(uint64_t a, uint64_t b)
+    {
+        if (products.fetch_add(1, std::memory_order_relaxed) + 1 ==
+                trip_after.load(std::memory_order_relaxed) &&
+            token != nullptr) {
+            token->cancel();
+        }
+        return (a != 0 && b != 0) ? 1 : 0;
+    }
+    static constexpr bool add_is_min = false;
+};
+
+TEST(Cancellation, MaskedVxmCutMidScatterLeavesCleanAccumulator)
+{
+    // A masked dense-SPA vxm marks the columns its mask rejects in the
+    // cached accumulator (flag and absorbing value) before the scatter.
+    // When the scatter is cut short, the shielded compaction must still
+    // clear those marks, so the next unmasked run of the same semiring
+    // sees every column.
+    rt::set_num_threads(4);
+    const Graph g = Graph::from_edge_list(graph::rmat(12, 8, 43), false);
+    const auto A = grb::Matrix<uint64_t>::from_graph(g, false);
+    grb::Vector<uint64_t> u(A.nrows());
+    u.fill(1);
+    // The bfs round shape: a complemented dense value mask.
+    grb::Vector<uint64_t> visited(A.ncols());
+    for (grb::Index j = 0; j < A.ncols(); j += 2) {
+        visited.set_element(j, 1);
+    }
+    visited.densify();
+
+    grb::Vector<uint64_t> expected;
+    grb::vxm<TrippingLorLand>(expected, grb::kDefaultDesc, u, A);
+    std::vector<std::pair<grb::Index, uint64_t>> want;
+    expected.for_entries(
+        [&](grb::Index j, uint64_t x) { want.emplace_back(j, x); });
+    std::sort(want.begin(), want.end());
+
+    for (int round = 0; round < 3; ++round) {
+        {
+            CancelToken token;
+            CancelScope scope(token);
+            TrippingLorLand::products = 0;
+            TrippingLorLand::trip_after = A.nvals() / 3;
+            TrippingLorLand::token = &token;
+            grb::Vector<uint64_t> partial;
+            grb::vxm<TrippingLorLand>(partial, &visited,
+                                      grb::kComplementReplaceDesc, u, A);
+            TrippingLorLand::token = nullptr;
+            EXPECT_EQ(token.code(), StatusCode::kCancelled) << round;
+        }
+        grb::Vector<uint64_t> w;
+        grb::vxm<TrippingLorLand>(w, grb::kDefaultDesc, u, A);
+        std::vector<std::pair<grb::Index, uint64_t>> got;
+        w.for_entries(
+            [&](grb::Index j, uint64_t x) { got.emplace_back(j, x); });
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << round;
+    }
+}
+
 TEST(RunGuarded, MapsExceptionsToStatus)
 {
     EXPECT_TRUE(run_guarded([] {}).ok());
