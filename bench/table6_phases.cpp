@@ -54,8 +54,7 @@ bool
 is_compute_op(const char* name)
 {
     static constexpr const char* kComputeOps[] = {
-        "vxm",        "mxv",      "mxv_sparse", "ewise_fused_assign",
-        "ewise_mult_select",
+        "vxm",        "mxv",      "mxv_sparse", "ewise_mult_select",
         "mxm_masked_dot", "mxm_saxpy", "mxm_dot",
     };
     for (const char* op : kComputeOps) {

@@ -146,7 +146,8 @@ pagerank_residual_lazy(const grb::Matrix<double>& A,
     // Lazy handles, declared after every vector their pending nodes
     // read (delta, inv_deg): destruction is a flush point. The fusion
     // planner folds contrib's eWiseMult into update's pull kernel, so
-    // contrib never materializes; update's output buffer is recycled
+    // the product lands in contrib's recycled spare buffer, which
+    // charges only its growth; update's output buffer is recycled
     // round over round and rotated with delta by swap_value.
     grb::LazyVector<double> contrib(n);
     grb::LazyVector<double> update(n);

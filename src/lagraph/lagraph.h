@@ -110,9 +110,11 @@ std::vector<double> pagerank_residual(const grb::Matrix<double>& A,
                                       double damping, unsigned iterations);
 
 /// pagerank_residual in non-blocking mode: the per-round eWiseMult is
-/// folded into the pull kernel's operand view (the contribution vector
-/// never materializes) and the damping apply rides the same kernel's
-/// per-entry hook. Identical output to pagerank_residual().
+/// subsumed by the pull kernel, which reads its product from recycled
+/// scratch (the contribution vector lands in a buffer that charges only
+/// its growth, never a fresh allocation), and the damping apply rides
+/// the same kernel's per-entry hook. Identical output to
+/// pagerank_residual().
 std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
                                            const grb::Matrix<double>& At,
                                            double damping,

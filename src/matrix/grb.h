@@ -10,7 +10,6 @@
 #include "matrix/matrix.h"       // IWYU pragma: export
 #include "matrix/simd_spmv.h"    // IWYU pragma: export
 #include "matrix/ops_dispatch.h" // IWYU pragma: export
-#include "matrix/ops_fused.h"    // IWYU pragma: export
 #include "matrix/ops_spgemm.h"   // IWYU pragma: export
 #include "matrix/ops_spmv.h"     // IWYU pragma: export
 #include "matrix/ops_vector.h"   // IWYU pragma: export

@@ -15,18 +15,21 @@
  * never materialized at all). Unrecognized shapes fall back to eager
  * evaluation and count kLazyFallbacks.
  *
- * Recognized chains (all counted by kFusedChains):
+ * Recognized chains (all counted by kFusedChains). Only one needs a
+ * kernel of its own; the others run the eager kernel with a per-entry
+ * sink or a recycle buffer (ops_spmv.h, ops_vector.h):
  *
  *  - dispatch_spmv/mxv + apply        -> per-entry transform in the
  *                                        SpMV kernel's sink
  *  - dispatch_spmv/mxv + assign_scalar masked by the SpMV output into
  *    the SpMV's own mask vector (the BFS round) -> assign in the sink
  *  - eWiseMult/eWiseAdd (dense-dense) + assign_scalar masked by the
- *    result                           -> fused_ewise_assign
- *  - eWiseMult + select_entries       -> fused_ewise_mult_select
+ *    result                           -> assign in the eWise kernel's
+ *                                        sink
+ *  - eWiseMult + select_entries       -> ewise_mult_select
  *  - eWiseMult (dense-dense) feeding mxv's operand -> the producer is
- *    subsumed; its product lands in recycled scratch storage
- *    (ewise_mult_recycle), never in a freshly allocated intermediate
+ *    subsumed; ewise_mult builds its product in the operand handle's
+ *    recycled spare buffer, never in a freshly allocated intermediate
  *
  * Materialization points, at which pending work executes:
  * LazyVector::nvals / value / extract_tuples / get_element / wait, the
@@ -65,7 +68,7 @@
 
 #include "matrix/lazy_registry.h"
 #include "matrix/ops_dispatch.h"
-#include "matrix/ops_fused.h"
+#include "matrix/ops_vector.h"
 #include "support/faults.h"
 
 namespace gas::grb {
@@ -95,34 +98,15 @@ struct AssignSink
 
 namespace detail {
 
-/// Mutable execution plan of a pending SpMV node; absorb hooks rewrite
+/// Mutable per-entry plan of a pending sink node; absorb hooks rewrite
 /// it until the node runs.
 template <typename T>
-struct SpmvState
+struct SinkState
 {
     std::function<T(T)> transform;
     bool has_assign{false};
     bool assign_structural{false};
     AssignSink sink;
-};
-
-enum class EwiseMode {
-    kPlain,
-    kAssign,
-    kSelect,
-};
-
-/// Mutable execution plan of a pending element-wise node.
-template <typename T>
-struct EwiseState
-{
-    EwiseMode mode{EwiseMode::kPlain};
-    std::function<T(T, T)> fn;
-    bool intersection{true};
-    bool assign_structural{false};
-    AssignSink sink;
-    std::function<bool(Index, T)> pred;
-    LazyVector<T>* select_out{nullptr};
 };
 
 /**
@@ -135,31 +119,25 @@ struct EwiseState
 template <typename T>
 struct LazyNode
 {
-    /// Dense-dense eWiseMult operands exposed for mxv input fusion.
+    /// The operands of a pending dense-dense eWiseMult, exposed so mxv
+    /// can subsume the producer into its operand.
     struct DenseMult
     {
-        const uint8_t* a_present;
-        const T* a_vals;
-        const uint8_t* b_present;
-        const T* b_vals;
+        const Vector<T>* u;
+        const Vector<T>* v;
         std::function<T(T, T)> fn;
     };
 
     bool done{false};
     std::function<void()> run;
 
-    // SpMV-node hooks. spmv_mask_id identifies the mask operand by
-    // address so the planner can recognize "assign into the SpMV's own
-    // mask" (the BFS chain) without type information.
-    const void* spmv_mask_id{nullptr};
     std::function<bool(std::function<T(T)>)> absorb_transform;
-    std::function<bool(bool, AssignSink)> absorb_mask_assign;
-
-    // Element-wise-node hooks.
-    std::optional<DenseMult> dense_mult;
-    std::function<bool(bool, AssignSink)> absorb_assign;
+    /// Offer target<this node's output> = value, with the target's
+    /// identity (its address) so the node can decide whether to accept.
+    std::function<bool(const void*, bool, AssignSink)> absorb_assign;
     std::function<bool(LazyVector<T>*, std::function<bool(Index, T)>)>
         absorb_select;
+    std::optional<DenseMult> dense_mult;
 
     void
     execute()
@@ -200,20 +178,20 @@ make_assign_sink(Vector<MT>& target, MT value)
 }
 
 /**
- * A pending SpMV node whose run() calls @p kernel(sink). Both SpMV
- * recorders share this plumbing: the per-entry sink applies an
- * absorbed transform and then an absorbed mask assign, the assign's
- * prepare/finish bracket the kernel, and the absorb hooks rewrite the
- * plan until the node runs. @p mask identifies the SpMV's mask operand
- * (see LazyNode::spmv_mask_id).
+ * A pending node whose run() calls @p kernel(sink), shared by the SpMV
+ * and element-wise recorders. The per-entry sink applies an absorbed
+ * transform and then an absorbed assign, the assign's prepare/finish
+ * bracket the kernel, and the absorb hooks rewrite the plan until the
+ * node runs. @p accepts_assign(target) is asked before an assign into
+ * @p target is absorbed; it may commit the node's own plan when it
+ * returns true.
  */
-template <typename T, typename Kernel>
+template <typename T, typename Kernel, typename Accept>
 std::shared_ptr<LazyNode<T>>
-make_spmv_node(const void* mask, Kernel kernel)
+make_sink_node(Kernel kernel, Accept accepts_assign)
 {
-    auto state = std::make_shared<SpmvState<T>>();
+    auto state = std::make_shared<SinkState<T>>();
     auto node = std::make_shared<LazyNode<T>>();
-    node->spmv_mask_id = mask;
     node->run = [state, kernel = std::move(kernel)]() {
         auto extras = [state](Index i, T& v) {
             if (state->transform) {
@@ -250,13 +228,19 @@ make_spmv_node(const void* mask, Kernel kernel)
         }
         return true;
     };
-    node->absorb_mask_assign = [state](bool structural, AssignSink sink) {
-        if (state->has_assign) {
+    node->absorb_assign = [state, np = node.get(),
+                           accepts = std::move(accepts_assign)](
+                              const void* target, bool structural,
+                              AssignSink sink) {
+        if (state->has_assign || !accepts(target)) {
             return false;
         }
         state->has_assign = true;
         state->assign_structural = structural;
         state->sink = std::move(sink);
+        // The assign's side effect rides this node now: a consumer
+        // that subsumed it would drop the assign.
+        np->dense_mult.reset();
         return true;
     };
     return node;
@@ -456,11 +440,13 @@ dispatch_spmv(SpmvDispatcher<T>& dispatcher, LazyVector<T>& w,
     LazyVector<T>* wp = &w;
     const Vector<T>* up = &u;
     SpmvDispatcher<T>* dp = &dispatcher;
-    auto node = detail::make_spmv_node<T>(
-        mask, [dp, wp, up, mask, desc](const auto& sink) {
+    auto node = detail::make_sink_node<T>(
+        [dp, wp, up, mask, desc](const auto& sink) {
             dp->template dispatch_spmv<Semiring>(wp->storage(), mask, desc,
                                                  *up, sink, &wp->spare());
-        });
+        },
+        // Only an assign into the SpMV's own mask fuses (the BFS round).
+        [mask](const void* target) { return target == mask; });
     w.adopt(std::move(node));
 }
 
@@ -520,25 +506,27 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     LazyVector<T>* wp = &w;
     LazyVector<T>* up = &u;
     const Matrix<T>* ap = &A;
-    auto node = detail::make_spmv_node<T>(
-        mask, [wp, up, ap, mask, desc,
-               mult = std::move(mult)](const auto& sink) {
-            const Vector<T>* operand = &up->storage();
-            if (mult.has_value()) {
-                // The subsumed producer's product, computed into u's
-                // recycled spare buffer: no fresh intermediate is ever
-                // allocated, and the pull kernel reads plain dense
-                // arrays (a per-edge type-erased multiply was measured
-                // slower than this one extra vertex-sized pass).
-                Vector<T>& scratch = up->spare();
-                ewise_mult_recycle(scratch, up->size(), mult->a_present,
-                                   mult->a_vals, mult->b_present,
-                                   mult->b_vals, mult->fn);
-                operand = &scratch;
+    auto node = detail::make_sink_node<T>(
+        [wp, up, ap, mask, desc,
+         mult = std::move(mult)](const auto& sink) {
+            if (!mult.has_value()) {
+                grb::mxv<Semiring>(wp->storage(), mask, desc, *ap,
+                                   up->storage(), sink, &wp->spare());
+                return;
             }
-            grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, *operand,
+            // The subsumed producer's product, built in u's spare
+            // buffer (which charges only its growth) and handed back
+            // after the pull kernel: the kernel reads plain dense
+            // arrays (a per-edge type-erased multiply was measured
+            // slower than this one extra vertex-sized pass).
+            Vector<T> operand;
+            grb::ewise_mult(operand, *mult->u, *mult->v, mult->fn,
+                            NoSink{}, &up->spare());
+            grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, operand,
                                sink, &wp->spare());
-        });
+            up->spare() = std::move(operand);
+        },
+        [mask](const void* target) { return target == mask; });
     if (fuse_input) {
         u.subsume_into(node);
         metrics::bump(metrics::kFusedChains);
@@ -588,64 +576,60 @@ record_ewise(LazyVector<T>& w, const Vector<T>& u, const Vector<T>& v,
              std::function<T(T, T)> fn, bool intersection)
 {
     w.prepare_record();
-    auto state = std::make_shared<detail::EwiseState<T>>();
-    state->fn = std::move(fn);
-    state->intersection = intersection;
-    auto node = std::make_shared<detail::LazyNode<T>>();
-    detail::LazyNode<T>* np = node.get();
+    // A node absorbs at most one consumer: an assign (into its sink),
+    // a select (retargeting it to ewise_mult_select) or an mxv (which
+    // subsumes a still-plain dense_mult node).
+    struct Plan
+    {
+        bool plain{true};
+        std::function<bool(Index, T)> pred;
+        LazyVector<T>* select_out{nullptr};
+    };
+    auto plan = std::make_shared<Plan>();
     LazyVector<T>* wp = &w;
     const Vector<T>* up = &u;
     const Vector<T>* vp = &v;
-    node->run = [state, wp, up, vp]() {
-        switch (state->mode) {
-          case detail::EwiseMode::kPlain:
-            if (state->intersection) {
-                grb::ewise_mult(wp->storage(), *up, *vp, state->fn);
-            } else {
-                grb::ewise_add(wp->storage(), *up, *vp, state->fn);
-            }
-            break;
-          case detail::EwiseMode::kAssign:
-            fused_ewise_assign(wp->storage(), *up, *vp, state->fn,
-                               state->intersection,
-                               state->assign_structural, state->sink);
-            break;
-          case detail::EwiseMode::kSelect:
-            fused_ewise_mult_select(state->select_out->storage(), *up,
-                                    *vp, state->fn, state->pred);
-            break;
-        }
-    };
     const bool dense_dense = u.format() == VectorFormat::kDense &&
         v.format() == VectorFormat::kDense;
-    if (intersection && dense_dense) {
-        node->dense_mult = typename detail::LazyNode<T>::DenseMult{
-            u.dense_presence().data(), u.dense_values().data(),
-            v.dense_presence().data(), v.dense_values().data(),
-            state->fn};
-    }
-    node->absorb_assign = [state, np, dense_dense](bool structural,
-                                                   AssignSink sink) {
-        if (state->mode != detail::EwiseMode::kPlain || !dense_dense) {
-            return false;
-        }
-        state->mode = detail::EwiseMode::kAssign;
-        state->assign_structural = structural;
-        state->sink = std::move(sink);
-        np->dense_mult.reset();
-        return true;
-    };
+    auto node = detail::make_sink_node<T>(
+        [plan, wp, up, vp, fn, intersection,
+         dense_dense](const auto& sink) {
+            if (plan->select_out != nullptr) {
+                grb::ewise_mult_select(plan->select_out->storage(), *up,
+                                       *vp, fn, plan->pred);
+            } else if (intersection) {
+                grb::ewise_mult(wp->storage(), *up, *vp, fn, sink);
+            } else if (dense_dense) {
+                grb::ewise_add(wp->storage(), *up, *vp, fn, sink);
+            } else {
+                // ewise_add takes a sink only on dense operands; this
+                // node never accepted an assign.
+                grb::ewise_add(wp->storage(), *up, *vp, fn);
+            }
+        },
+        [plan, dense_dense](const void*) {
+            if (!plan->plain || !dense_dense) {
+                return false;
+            }
+            plan->plain = false;
+            return true;
+        });
+    // A transform stays unfused: the eWise chain list has no apply.
+    node->absorb_transform = nullptr;
     if (intersection) {
+        if (dense_dense) {
+            node->dense_mult =
+                typename detail::LazyNode<T>::DenseMult{up, vp, fn};
+        }
         node->absorb_select =
-            [state, np, wp](LazyVector<T>* out,
-                            std::function<bool(Index, T)> pred) {
-                if (state->mode != detail::EwiseMode::kPlain ||
-                    out == wp) {
+            [plan, wp, np = node.get()](LazyVector<T>* out,
+                                        std::function<bool(Index, T)> pred) {
+                if (!plan->plain || out == wp) {
                     return false;
                 }
-                state->mode = detail::EwiseMode::kSelect;
-                state->pred = std::move(pred);
-                state->select_out = out;
+                plan->plain = false;
+                plan->pred = std::move(pred);
+                plan->select_out = out;
                 np->dense_mult.reset();
                 return true;
             };
@@ -716,14 +700,13 @@ select_entries(LazyVector<T>& w, LazyVector<T>& u, Pred&& pred)
 }
 
 /**
- * Record target<mask> = value where the mask is a lazy handle. The two
- * fusable shapes:
+ * Record target<mask> = value where the mask is a lazy handle. A
+ * pending mask node is offered the assign once, and decides:
  *
- *  - mask is a pending SpMV whose own mask operand *is* target (the
- *    BFS round): the assign is absorbed into the SpMV's per-entry
- *    sink.
- *  - mask is a pending dense-dense eWise op: the assign rides the
- *    element-wise loop (fused_ewise_assign).
+ *  - an SpMV node accepts an assign into its own mask vector (the BFS
+ *    round), which then runs in the SpMV kernel's sink.
+ *  - a dense-dense eWise node accepts while it has absorbed nothing
+ *    else; the assign runs in ewise_mult's or ewise_add's sink.
  *
  * Complement or replace descriptors never fuse (they need the full
  * output domain, not just produced entries) and fall back to eager.
@@ -735,23 +718,13 @@ assign_scalar(Vector<MT>& target, LazyVector<T>& mask,
 {
     const bool nonblocking = exec_mode() == ExecMode::kNonBlocking;
     if (nonblocking && mask.pending() && !desc.mask_complement &&
-        !desc.replace) {
-        auto* node = mask.node();
-        if (node->absorb_mask_assign &&
-            node->spmv_mask_id == static_cast<const void*>(&target) &&
-            node->absorb_mask_assign(
-                desc.structural_mask,
-                detail::make_assign_sink(target, value))) {
-            metrics::bump(metrics::kFusedChains);
-            return;
-        }
-        if (node->absorb_assign &&
-            node->absorb_assign(desc.structural_mask,
-                                detail::make_assign_sink(target,
-                                                         value))) {
-            metrics::bump(metrics::kFusedChains);
-            return;
-        }
+        !desc.replace && mask.node()->absorb_assign &&
+        mask.node()->absorb_assign(static_cast<const void*>(&target),
+                                   desc.structural_mask,
+                                   detail::make_assign_sink(target,
+                                                            value))) {
+        metrics::bump(metrics::kFusedChains);
+        return;
     }
     mask.materialize();
     grb::assign_scalar(target, &mask.storage(), desc, value);

@@ -3,8 +3,9 @@
 /**
  * @file
  * Shared kernel infrastructure for the grb operations: mask views,
- * atomic semiring accumulation, backend-dependent scheduling, and the
- * sparse-accumulator (SPA) workspace pool.
+ * atomic semiring accumulation, backend-dependent scheduling, the
+ * output-buffer protocol (take / publish, with an optional recycle
+ * buffer), and the sparse-accumulator (SPA) workspace pool.
  */
 
 #include <atomic>
@@ -157,8 +158,9 @@ class MaskView
     std::optional<Vector<MT>> copy_;
 };
 
-/// Default per-entry sink of the SpMV kernels (ops_spmv.h): does
-/// nothing, so a plain product compiles to the sink-free loop.
+/// Default per-entry sink of the SpMV kernels (ops_spmv.h) and the
+/// element-wise kernels (ops_vector.h): does nothing, so a plain
+/// operation compiles to the sink-free loop.
 struct NoSink
 {
     template <typename T>
@@ -167,6 +169,82 @@ struct NoSink
     {
     }
 };
+
+namespace detail {
+
+/// A kernel's output shell: a fresh vector, or @p recycle's storage
+/// (capacity kept) when the caller donates it.
+template <typename T>
+Vector<T>
+take_output(Index size, Vector<T>* recycle)
+{
+    Vector<T> result(size);
+    if (recycle != nullptr) {
+        result = std::move(*recycle);
+        result.clear_keep_capacity(size);
+    }
+    return result;
+}
+
+/// A dense output shell with no entry present. A fresh one is
+/// densified (its bytes charged on allocation); a recycled one is
+/// refilled by assign, so its capacity is reused.
+template <typename T>
+Vector<T>
+take_dense_output(Index size, Vector<T>* recycle)
+{
+    Vector<T> result = take_output(size, recycle);
+    if (recycle != nullptr) {
+        result.dense_values().assign(size, T{});
+        result.dense_presence().assign(size, uint8_t{0});
+        result.set_format(VectorFormat::kDense);
+    } else {
+        result.densify();
+    }
+    return result;
+}
+
+/// Bill @p result's storage growth and move it into @p w, handing w's
+/// old storage back to @p recycle. Runs after the last read of the
+/// operands, which round-based callers may alias with w. The capacity
+/// watermark never bills the same bytes twice.
+template <typename T>
+void
+publish_output(Vector<T>& w, Vector<T>& result, Vector<T>* recycle)
+{
+    result.charge_materialized();
+    if (recycle != nullptr) {
+        *recycle = std::move(w);
+    }
+    w = std::move(result);
+}
+
+/// Sparse output built from a bag of emitted (index, value) pairs:
+/// copy them into w (unsorted; the Reference backend sorts them).
+template <typename T>
+void
+publish_sparse_output(Vector<T>& w, Index size,
+                      const rt::InsertBag<std::pair<Index, T>>& output,
+                      Vector<T>* recycle = nullptr)
+{
+    Vector<T> result = take_output(size, recycle);
+    auto& oidx = result.sparse_indices();
+    auto& ovals = result.sparse_values();
+    oidx.reserve(output.size());
+    ovals.reserve(output.size());
+    output.for_each([&](const std::pair<Index, T>& entry) {
+        oidx.push_back(entry.first);
+        ovals.push_back(entry.second);
+    });
+    result.set_format(VectorFormat::kSparse);
+    result.set_sorted(false);
+    if (backend_sorts_outputs()) {
+        result.sort_entries();
+    }
+    publish_output(w, result, recycle);
+}
+
+} // namespace detail
 
 /// Atomically fold @p value into @p slot with the semiring add.
 template <typename T, typename AddFn>

@@ -300,59 +300,6 @@ for_each_set_flag(const uint8_t* occ, Index lo, Index hi, Fn&& fn)
     }
 }
 
-/// A kernel's output shell: a fresh vector, or @p recycle's storage
-/// (capacity kept) when the caller donates it.
-template <typename T>
-Vector<T>
-take_output(Index size, Vector<T>* recycle)
-{
-    Vector<T> result(size);
-    if (recycle != nullptr) {
-        result = std::move(*recycle);
-        result.clear_keep_capacity(size);
-    }
-    return result;
-}
-
-/// Bill @p result's storage growth and move it into @p w, handing w's
-/// old storage back to @p recycle. Runs after the last read of u, which
-/// round-based callers may alias with w.
-template <typename T>
-void
-publish_output(Vector<T>& w, Vector<T>& result, Vector<T>* recycle)
-{
-    result.charge_materialized();
-    if (recycle != nullptr) {
-        *recycle = std::move(w);
-    }
-    w = std::move(result);
-}
-
-/// Sparse output of mxv_sparse: copy the emitted (index, value) pairs
-/// into w (unsorted; the Reference backend sorts them).
-template <typename T>
-void
-publish_sparse_output(Vector<T>& w, Index size,
-                      const rt::InsertBag<std::pair<Index, T>>& output,
-                      Vector<T>* recycle)
-{
-    Vector<T> result = take_output(size, recycle);
-    auto& oidx = result.sparse_indices();
-    auto& ovals = result.sparse_values();
-    oidx.reserve(output.size());
-    ovals.reserve(output.size());
-    output.for_each([&](const std::pair<Index, T>& entry) {
-        oidx.push_back(entry.first);
-        ovals.push_back(entry.second);
-    });
-    result.set_format(VectorFormat::kSparse);
-    result.set_sorted(false);
-    if (backend_sorts_outputs()) {
-        result.sort_entries();
-    }
-    publish_output(w, result, recycle);
-}
-
 } // namespace detail
 
 /**
@@ -607,15 +554,7 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     const bool u_all_present =
         uview->nvals() == static_cast<Nnz>(uview->size());
 
-    Vector<T> result = detail::take_output(A.nrows(), recycle);
-    if (recycle != nullptr) {
-        // assign (not densify) so the recycled capacity is reused.
-        result.dense_values().assign(A.nrows(), T{});
-        result.dense_presence().assign(A.nrows(), uint8_t{0});
-        result.set_format(VectorFormat::kDense);
-    } else {
-        result.densify();
-    }
+    Vector<T> result = detail::take_dense_output(A.nrows(), recycle);
     auto& out = result.dense_values();
     auto& present = result.dense_presence();
     const MaskView<MT> view(mask, desc);
@@ -733,9 +672,6 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
             backend_schedule());
     }
     result.set_dense_nvals(count.load());
-    // A fresh output's bytes were charged when result.densify()
-    // allocated them; the watermark keeps publish_output from billing
-    // them twice.
     detail::publish_output(w, result, recycle);
 }
 

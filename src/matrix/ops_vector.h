@@ -9,7 +9,18 @@
  * Every operation makes one full pass over its operand structures — the
  * paper's "lightweight loop" critique — and bumps kPasses accordingly
  * so Table IV/V can count passes per system.
+ *
+ * The element-wise kernels take the SpMV kernels' trailing parameters
+ * (ops_spmv.h), which is how the lazy planner (matrix/lazy.h) fuses a
+ * downstream masked assign into them: sink(i, value) runs on every
+ * produced entry before it is stored (possibly on worker threads, at
+ * most once per index; NoSink compiles away), and ewise_mult's recycle
+ * buffer donates its storage to the output. ewise_mult_select is the
+ * one fused element-wise kernel: eWiseMult -> select with the product
+ * vector never materialized.
  */
+
+#include <type_traits>
 
 #include "matrix/ops_common.h"
 #include "runtime/reducers.h"
@@ -165,13 +176,21 @@ apply(Vector<T>& w, const Vector<T>& u, Fn&& fn)
 /**
  * w = u (+) v on the union of supports (GrB_eWiseAdd). Where only one
  * operand is explicit its value passes through unchanged.
- * The result is dense if either operand is dense.
+ * The result is dense if either operand is dense. A sink (other than
+ * NoSink) needs both operands dense: only that branch runs it, on
+ * every union entry, the u-only ones included.
  */
-template <typename T, typename Fn>
+template <typename T, typename Fn, typename Sink = NoSink>
 void
-ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
+ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn,
+          const Sink& sink = {})
 {
+    constexpr bool kHasSink = !std::is_same_v<Sink, NoSink>;
     GAS_CHECK(u.size() == v.size(), "ewise_add dimension mismatch");
+    GAS_CHECK(!kHasSink ||
+                  (u.format() == VectorFormat::kDense &&
+                   v.format() == VectorFormat::kDense),
+              "ewise_add: a sink requires dense operands");
     trace::Span span(trace::Category::kGrb, "ewise_add", u.nvals());
     metrics::bump(metrics::kPasses);
 
@@ -253,6 +272,13 @@ ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
                     if (opresent[i] != 0) {
                         local_added += fold(static_cast<Index>(i), ovals[i]);
                         ++folded;
+                        sink(static_cast<Index>(i), vals[i]);
+                    } else if constexpr (kHasSink) {
+                        // base is u here: its u-only entries are
+                        // produced entries too.
+                        if (present[i] != 0) {
+                            sink(static_cast<Index>(i), vals[i]);
+                        }
                     }
                 }
                 flush(folded, local_added);
@@ -276,55 +302,57 @@ ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
     w = std::move(base);
 }
 
-/**
- * w = u (*) v on the intersection of supports (GrB_eWiseMult).
- */
-template <typename T, typename Fn>
-void
-ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
-{
-    GAS_CHECK(u.size() == v.size(), "ewise_mult dimension mismatch");
-    trace::Span span(trace::Category::kGrb, "ewise_mult", u.nvals());
-    metrics::bump(metrics::kPasses);
+namespace detail {
 
-    if (u.format() == VectorFormat::kDense &&
-        v.format() == VectorFormat::kDense) {
-        Vector<T> result(u.size());
-        result.densify();
-        auto& vals = result.dense_values();
-        auto& present = result.dense_presence();
-        const auto& uvals = u.dense_values();
-        const auto& upresent = u.dense_presence();
-        const auto& vvals = v.dense_values();
-        const auto& vpresent = v.dense_presence();
-        std::atomic<Nnz> count{0};
-        rt::do_all_blocked(
-            u.size(),
-            [&](rt::Range range) {
-                Nnz local = 0;
-                for (std::size_t i = range.begin; i < range.end; ++i) {
-                    if (upresent[i] != 0 && vpresent[i] != 0) {
-                        vals[i] = fn(uvals[i], vvals[i]);
-                        present[i] = 1;
+/**
+ * The dense-dense pass of eWiseMult: call keep(i, value) on each
+ * product over the support intersection, in parallel blocks, and
+ * return how many products keep accepted (it stores those itself).
+ */
+template <typename T, typename Fn, typename Keep>
+Nnz
+ewise_mult_dense(const Vector<T>& u, const Vector<T>& v, const Fn& fn,
+                 Keep&& keep)
+{
+    const auto& uvals = u.dense_values();
+    const auto& upresent = u.dense_presence();
+    const auto& vvals = v.dense_values();
+    const auto& vpresent = v.dense_presence();
+    std::atomic<Nnz> kept{0};
+    rt::do_all_blocked(
+        u.size(),
+        [&](rt::Range range) {
+            uint64_t products = 0;
+            Nnz local = 0;
+            for (std::size_t i = range.begin; i < range.end; ++i) {
+                if (upresent[i] != 0 && vpresent[i] != 0) {
+                    T value = fn(uvals[i], vvals[i]);
+                    ++products;
+                    if (keep(static_cast<Index>(i), value)) {
                         ++local;
                     }
                 }
-                count.fetch_add(local, std::memory_order_relaxed);
-                metrics::bump(metrics::kWorkItems, range.size());
-                metrics::bump(metrics::kLabelReads, 2 * local);
-                metrics::bump(metrics::kLabelWrites, local);
-            },
-            backend_schedule());
-        result.set_dense_nvals(count.load());
-        // densify() above already charged the dense storage through the
-        // capacity watermark; this is a reconciliation no-op, not a
-        // second charge.
-        result.charge_materialized();
-        w = std::move(result);
-        return;
-    }
+            }
+            kept.fetch_add(local, std::memory_order_relaxed);
+            metrics::bump(metrics::kWorkItems, range.size());
+            metrics::bump(metrics::kLabelReads, 2 * products);
+            metrics::bump(metrics::kLabelWrites, local);
+        },
+        backend_schedule());
+    return kept.load();
+}
 
-    // Iterate the sparse side (or the smaller side) and probe the other.
+/**
+ * The sparse branch of eWiseMult: iterate the sparse operand (u when
+ * both are sparse), probe the other, and append each product that
+ * keep(i, value) accepts (keep may rewrite the value) to a sparse w.
+ * The output keeps the iterated operand's order.
+ */
+template <typename T, typename Fn, typename Keep>
+void
+ewise_mult_sparse(Vector<T>& w, const Vector<T>& u, const Vector<T>& v,
+                  const Fn& fn, Keep&& keep, Vector<T>* recycle = nullptr)
+{
     const Vector<T>* iter = &u;
     const Vector<T>* probe = &v;
     bool iter_is_u = true;
@@ -341,7 +369,7 @@ ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
         probe_view = &sorted_probe;
     }
 
-    Vector<T> result(u.size());
+    Vector<T> result = take_output(u.size(), recycle);
     auto& idx = result.sparse_indices();
     auto& vals = result.sparse_values();
     uint64_t entries = 0;
@@ -361,10 +389,13 @@ ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
                     it - pidx.begin())];
             }
         }
-        if (other.has_value()) {
+        if (!other.has_value()) {
+            return;
+        }
+        T product = iter_is_u ? fn(value, *other) : fn(*other, value);
+        if (keep(i, product)) {
             idx.push_back(i);
-            vals.push_back(iter_is_u ? fn(value, *other)
-                                     : fn(*other, value));
+            vals.push_back(product);
         }
     });
     metrics::bump(metrics::kWorkItems, entries);
@@ -375,8 +406,49 @@ ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
     if (backend_sorts_outputs()) {
         result.sort_entries();
     }
-    result.charge_materialized();
-    w = std::move(result);
+    publish_output(w, result, recycle);
+}
+
+} // namespace detail
+
+/**
+ * w = u (*) v on the intersection of supports (GrB_eWiseMult). The
+ * result is dense when both operands are dense, sparse otherwise.
+ * @p recycle, when non-null, donates its storage to the output and
+ * receives w's old storage back; it must not alias w.
+ */
+template <typename T, typename Fn, typename Sink = NoSink>
+void
+ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn,
+           const Sink& sink = {}, Vector<T>* recycle = nullptr)
+{
+    GAS_CHECK(u.size() == v.size(), "ewise_mult dimension mismatch");
+    GAS_CHECK(recycle != &w, "ewise_mult: recycle must not alias w");
+    trace::Span span(trace::Category::kGrb, "ewise_mult", u.nvals());
+    metrics::bump(metrics::kPasses);
+
+    if (u.format() != VectorFormat::kDense ||
+        v.format() != VectorFormat::kDense) {
+        detail::ewise_mult_sparse(w, u, v, fn,
+                                  [&](Index i, T& value) {
+                                      sink(i, value);
+                                      return true;
+                                  },
+                                  recycle);
+        return;
+    }
+
+    Vector<T> result = detail::take_dense_output(u.size(), recycle);
+    auto& vals = result.dense_values();
+    auto& present = result.dense_presence();
+    result.set_dense_nvals(
+        detail::ewise_mult_dense(u, v, fn, [&](Index i, T& value) {
+            sink(i, value);
+            vals[i] = value;
+            present[i] = 1;
+            return true;
+        }));
+    detail::publish_output(w, result, recycle);
 }
 
 /// Monoid reduction of all explicit entries of @p u.
@@ -545,22 +617,45 @@ select_entries(Vector<T>& w, const Vector<T>& u, Pred&& pred)
             },
             backend_schedule());
     }
-    Vector<T> result(u.size());
-    auto& oidx = result.sparse_indices();
-    auto& ovals = result.sparse_values();
-    oidx.reserve(kept.size());
-    ovals.reserve(kept.size());
-    kept.for_each([&](const std::pair<Index, T>& entry) {
-        oidx.push_back(entry.first);
-        ovals.push_back(entry.second);
-    });
-    result.set_format(VectorFormat::kSparse);
-    result.set_sorted(false);
-    if (backend_sorts_outputs()) {
-        result.sort_entries();
+    detail::publish_sparse_output(w, u.size(), kept);
+}
+
+/**
+ * w = the entries (i, fn(u(i), v(i))) of the support intersection that
+ * pass pred(i, value): eWiseMult -> select_entries with the product
+ * vector never materialized (the lazy planner's eWiseMult -> select
+ * chain). Eager equivalent:
+ *
+ *   ewise_mult(tmp, u, v, fn);
+ *   select_entries(w, tmp, pred);
+ */
+template <typename T, typename Fn, typename Pred>
+void
+ewise_mult_select(Vector<T>& w, const Vector<T>& u, const Vector<T>& v,
+                  Fn&& fn, Pred&& pred)
+{
+    GAS_CHECK(u.size() == v.size(), "ewise_mult_select dimension mismatch");
+    trace::Span span(trace::Category::kGrb, "ewise_mult_select",
+                     u.nvals());
+    metrics::bump(metrics::kPasses);
+
+    if (u.format() != VectorFormat::kDense ||
+        v.format() != VectorFormat::kDense) {
+        detail::ewise_mult_sparse(
+            w, u, v, fn,
+            [&](Index i, const T& value) { return pred(i, value); });
+        return;
     }
-    result.charge_materialized();
-    w = std::move(result);
+
+    rt::InsertBag<std::pair<Index, T>> kept;
+    detail::ewise_mult_dense(u, v, fn, [&](Index i, const T& value) {
+        if (!pred(i, value)) {
+            return false;
+        }
+        kept.push({i, value});
+        return true;
+    });
+    detail::publish_sparse_output(w, u.size(), kept);
 }
 
 /// Structural and value equality of two vectors (same explicit entries

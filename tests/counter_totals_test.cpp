@@ -64,6 +64,9 @@ const std::vector<Pinned> kExpected = {
     {"csr", "mxv_sparse", {103, 103, 643, 643, 1049, 254}},
     {"csr", "ewise_mult", {174, 87, 0, 512, 0, 0}},
     {"csr", "ewise_add", {0, 43, 0, 43, 0, 0}},
+    {"csr", "ewise_add_dense", {0, 313, 0, 313, 0, 0}},
+    {"csr", "ewise_mult_sparse", {43, 24, 0, 43, 0, 0}},
+    {"csr", "lazy_ewise_select", {43, 19, 0, 43, 0, 0}},
     {"csr", "apply", {154, 154, 0, 154, 0, 0}},
     {"csr", "assign_masked", {0, 389, 0, 512, 0, 0}},
     {"bitmap", "vxm", {43, 374, 374, 374, 0, 0}},
@@ -76,6 +79,9 @@ const std::vector<Pinned> kExpected = {
     {"bitmap", "mxv_sparse", {103, 103, 643, 643, 1049, 254}},
     {"bitmap", "ewise_mult", {174, 87, 0, 512, 0, 0}},
     {"bitmap", "ewise_add", {0, 43, 0, 43, 0, 0}},
+    {"bitmap", "ewise_add_dense", {0, 313, 0, 313, 0, 0}},
+    {"bitmap", "ewise_mult_sparse", {43, 24, 0, 43, 0, 0}},
+    {"bitmap", "lazy_ewise_select", {43, 19, 0, 43, 0, 0}},
     {"bitmap", "apply", {154, 154, 0, 154, 0, 0}},
     {"bitmap", "assign_masked", {0, 389, 0, 512, 0, 0}},
     {"sell", "vxm", {43, 374, 374, 374, 0, 0}},
@@ -88,6 +94,9 @@ const std::vector<Pinned> kExpected = {
     {"sell", "mxv_sparse", {103, 103, 643, 643, 1049, 254}},
     {"sell", "ewise_mult", {174, 87, 0, 512, 0, 0}},
     {"sell", "ewise_add", {0, 43, 0, 43, 0, 0}},
+    {"sell", "ewise_add_dense", {0, 313, 0, 313, 0, 0}},
+    {"sell", "ewise_mult_sparse", {43, 24, 0, 43, 0, 0}},
+    {"sell", "lazy_ewise_select", {43, 19, 0, 43, 0, 0}},
     {"sell", "apply", {154, 154, 0, 154, 0, 0}},
     {"sell", "assign_masked", {0, 389, 0, 512, 0, 0}},
     {"graph", "ls_bfs", {3072, 881, 3072, 370, 0, 0}},
@@ -249,6 +258,29 @@ run_all(StorageFormat format)
     runs.emplace_back("ewise_add", measure([&] {
         grb::ewise_add(w, u_partial, u_sparse,
                        [](uint64_t a, uint64_t b) { return a + b; });
+    }));
+    // The dense-dense branch that la::pagerank, cc and bc run.
+    runs.emplace_back("ewise_add_dense", measure([&] {
+        grb::ewise_add(w, u_partial, v_partial,
+                       [](uint64_t a, uint64_t b) { return a + b; });
+    }));
+    // The sparse walk: iterate the sparse side, probe the dense one.
+    runs.emplace_back("ewise_mult_sparse", measure([&] {
+        grb::ewise_mult(w, u_sparse, v_partial,
+                        [](uint64_t a, uint64_t b) { return a * b; });
+    }));
+    // The la::sssp_delta_lazy relaxation filter: eWiseMult -> select
+    // recorded in non-blocking mode, so the planner fuses the pair.
+    runs.emplace_back("lazy_ewise_select", measure([&] {
+        grb::ExecModeScope mode(grb::ExecMode::kNonBlocking);
+        grb::LazyVector<uint64_t> product(n);
+        grb::LazyVector<uint64_t> kept(n);
+        grb::lazy::ewise_mult(product, u_sparse, v_partial,
+                              [](uint64_t a, uint64_t b) { return a * b; });
+        grb::lazy::select_entries(kept, product, [](Index, uint64_t x) {
+            return x % 2 == 0;
+        });
+        (void)kept.nvals();
     }));
     runs.emplace_back("apply", measure([&] {
         grb::apply(w, u_partial, [](uint64_t x) { return x + 1; });

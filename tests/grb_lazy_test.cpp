@@ -1,9 +1,10 @@
 /**
  * @file
  * Lazy-vs-eager equivalence suite for the non-blocking expression
- * layer (matrix/lazy.h) and the kernels it fuses into (the SpMV
- * sinks of matrix/ops_spmv.h, the element-wise composites of
- * matrix/ops_fused.h).
+ * layer (matrix/lazy.h) and the kernels it fuses into (the per-entry
+ * sinks and recycle buffers of the SpMV kernels in matrix/ops_spmv.h
+ * and the element-wise kernels in matrix/ops_vector.h, and
+ * ewise_mult_select).
  *
  * Every recognized fusable chain is run twice — eagerly with the plain
  * grb ops, and recorded through the lazy planner in non-blocking mode —
@@ -21,8 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
+#include <string>
 
 #include "lagraph/lagraph.h"
 #include "matrix/grb.h"
@@ -328,6 +331,72 @@ TEST_P(GrbLazyTest, EwiseAssignChainMatchesEager)
     }
 }
 
+// The same chain over dense operands that are only half present, with
+// different patterns: the union sees u-only, v-only, both and neither
+// entries, and the planted zeros split value from structural assigns.
+TEST_P(GrbLazyTest, EwiseAssignChainWithPartialOperands)
+{
+    const Index n = 64;
+    auto u = random_vector<uint64_t>(n, 0.5, 151, false);
+    auto v = random_vector<uint64_t>(n, 0.5, 152, false);
+    u.set_element(5, 0);  // zero in u
+    v.set_element(9, 0);  // zero in v
+    u.set_element(12, 0); // zeros on both sides
+    v.set_element(12, 0);
+    u.densify();
+    v.densify();
+    std::array<int, 4> kinds{}; // neither, u-only, v-only, both
+    for (Index i = 0; i < n; ++i) {
+        const bool in_u = u.get_element(i).has_value();
+        const bool in_v = v.get_element(i).has_value();
+        ++kinds[(in_u ? 1 : 0) + (in_v ? 2 : 0)];
+    }
+    for (const int count : kinds) {
+        ASSERT_GT(count, 0) << "every presence pattern must occur";
+    }
+    const auto mul = [](uint64_t a, uint64_t b) { return a * b; };
+    const auto add = [](uint64_t a, uint64_t b) { return a + b; };
+
+    for (const Descriptor& assign_desc : {kDefaultDesc, kStructuralDesc}) {
+        for (const bool intersection : {true, false}) {
+            Vector<uint64_t> w_e;
+            Vector<uint32_t> target_e(n);
+            target_e.set_element(1, 4);
+            if (intersection) {
+                grb::ewise_mult(w_e, u, v, mul);
+            } else {
+                grb::ewise_add(w_e, u, v, add);
+            }
+            grb::assign_scalar<uint32_t, uint64_t>(target_e, &w_e,
+                                                   assign_desc, 8);
+
+            Vector<uint32_t> target_l(n);
+            target_l.set_element(1, 4);
+            Model<uint64_t> w_l_model;
+            const metrics::Interval interval;
+            {
+                ExecModeScope mode(ExecMode::kNonBlocking);
+                LazyVector<uint64_t> w_l(n);
+                if (intersection) {
+                    lazy::ewise_mult(w_l, u, v, mul);
+                } else {
+                    lazy::ewise_add(w_l, u, v, add);
+                }
+                lazy::assign_scalar(target_l, w_l, assign_desc,
+                                    uint32_t{8});
+                w_l_model = to_model(w_l.value());
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "intersection=" << intersection
+                         << " structural=" << assign_desc.structural_mask);
+            EXPECT_GT(interval.delta()[metrics::kFusedChains], 0u);
+            EXPECT_EQ(to_model(w_e), w_l_model);
+            EXPECT_EQ(to_model(target_e), to_model(target_l));
+            EXPECT_EQ(target_e.nvals(), target_l.nvals());
+        }
+    }
+}
+
 // ---- chain: eWiseMult + select_entries (the SSSP relaxation) ----
 
 TEST_P(GrbLazyTest, EwiseSelectChainMatchesEager)
@@ -340,7 +409,7 @@ TEST_P(GrbLazyTest, EwiseSelectChainMatchesEager)
     const auto pred = [](Index, uint64_t x) { return x != kInf; };
 
     // Sparse candidates x dense dist (the algorithm's shape) and
-    // dense x dense both route through fused_ewise_mult_select.
+    // dense x dense both route through ewise_mult_select.
     for (const bool dense_candidates : {false, true}) {
         const auto candidates = random_vector<uint64_t>(
             n, dense_candidates ? 1.0 : 0.4, 61, dense_candidates);
@@ -620,6 +689,65 @@ TEST_P(GrbLazyTest, SsspDeltaLazyMatchesEager)
     const auto lazy_run = la::sssp_delta_lazy(A, 0, 4);
     EXPECT_GT(interval.delta()[metrics::kFusedChains], 0u);
     EXPECT_EQ(eager, lazy_run);
+}
+
+// The passes, bytes and planner decisions of whole lazy runs. The
+// recycled scratch of the PR round and the fused select's output are
+// what a kernel refactor could change without changing a result.
+TEST_P(GrbLazyTest, LazyChainsKeepPassesAndBytes)
+{
+    constexpr std::array<metrics::CounterId, 4> kCounters = {
+        metrics::kPasses, metrics::kBytesMaterialized,
+        metrics::kFusedChains, metrics::kLazyFallbacks};
+    using Counts = std::array<uint64_t, kCounters.size()>;
+    const auto measure = [&](const auto& run) {
+        const metrics::Interval interval;
+        run();
+        const auto delta = interval.delta();
+        Counts counts{};
+        for (std::size_t k = 0; k < kCounters.size(); ++k) {
+            counts[k] = delta[kCounters[k]];
+        }
+        return counts;
+    };
+    const auto render = [](const Counts& c) {
+        return "{" + std::to_string(c[0]) + ", " + std::to_string(c[1]) +
+            ", " + std::to_string(c[2]) + ", " + std::to_string(c[3]) +
+            "}";
+    };
+
+    const auto Ad = random_matrix<double>(120, 0.05, 121);
+    const auto At = Ad.transpose();
+    const auto Au = random_matrix<uint64_t>(150, 0.04, 131);
+    const auto run_pr = [&] {
+        (void)la::pagerank_residual_lazy(Ad, At, 0.85, 10);
+    };
+    const auto run_sssp = [&] { (void)la::sssp_delta_lazy(Au, 0, 4); };
+    // Warm runs first: first-use allocations (the cached SPA
+    // workspaces, storage a matrix builds on first use) charge bytes
+    // once, which would make the counts depend on test order.
+    run_pr();
+    run_sssp();
+    const Counts pr = measure(run_pr);
+    const Counts sssp = measure(run_sssp);
+
+    // passes, bytes materialized, fused chains, lazy fallbacks; equal on
+    // both backends. sssp's bytes include the light/heavy matrices it
+    // builds each run, whose storage follows a GAS_FORMAT override.
+    const Counts pr_expected = {34, 5400, 20, 0};
+    uint64_t sssp_bytes = 27010;
+    if (const auto forced = storage_format_from_env()) {
+        switch (*forced) {
+          case StorageFormat::kCsr: sssp_bytes = 26422; break;
+          case StorageFormat::kBitmapCsr: sssp_bytes = 27630; break;
+          case StorageFormat::kSell: sssp_bytes = 42518; break;
+        }
+    }
+    const Counts sssp_expected = {88, sssp_bytes, 18, 0};
+    EXPECT_EQ(pr, pr_expected) << "pagerank_residual_lazy measured "
+                               << render(pr);
+    EXPECT_EQ(sssp, sssp_expected) << "sssp_delta_lazy measured "
+                                   << render(sssp);
 }
 
 // ---- trace attribution still reconciles over a lazy run ----
