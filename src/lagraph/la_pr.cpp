@@ -30,6 +30,76 @@ inverse_out_degrees(const grb::Matrix<double>& A)
     return inv;
 }
 
+/*
+ * The body of pagerank_residual and pagerank_residual_lazy, written
+ * against the grb::lazy recorders. The caller's grb::ExecModeScope
+ * picks the execution: blocking is the eager ops, counter for counter;
+ * non-blocking folds contrib's eWiseMult and the damping apply into
+ * update's pull kernel and recycles both handles' buffers.
+ */
+std::vector<double>
+pagerank_residual_rounds(const char* span_name,
+                         const grb::Matrix<double>& A,
+                         const grb::Matrix<double>& At, double damping,
+                         unsigned iterations)
+{
+    trace::Span algo(trace::Category::kAlgo, span_name);
+    const Index n = A.nrows();
+    const double base = (1.0 - damping) / n;
+    const Vector<double> inv_deg = inverse_out_degrees(A);
+
+    Vector<double> rank(n);
+    rank.fill(1.0 / n);
+    // delta starts as rank itself; iteration 1 computes rank_1 directly
+    // and the remaining iterations apply incremental updates:
+    //   rank_{t+1} = rank_t + damping * At (delta_t ./ deg).
+    Vector<double> delta = rank;
+
+    // Lazy handles, declared after every vector their pending nodes
+    // read (delta, inv_deg): destruction is a flush point.
+    grb::LazyVector<double> contrib(n);
+    grb::LazyVector<double> update(n);
+
+    for (unsigned iter = 0;
+         iter < iterations && !cancel_requested(); ++iter) {
+        trace::Span round(trace::Category::kRound, "round", iter);
+        metrics::bump(metrics::kRounds);
+
+        // contrib = delta ./ out_degree.
+        grb::lazy::ewise_mult(contrib, delta, inv_deg,
+                              [](double d, double inv) {
+                                  return d * inv;
+                              });
+        // update(i) = damping * sum of in-neighbor contributions.
+        grb::lazy::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc,
+                                               At, contrib);
+        grb::lazy::apply(update,
+                         [damping](double x) { return damping * x; });
+
+        if (iter == 0) {
+            // rank_1 = base + update: the one non-incremental step.
+            grb::assign_scalar<double, uint8_t>(rank, nullptr,
+                                                grb::kDefaultDesc, base);
+            Vector<double> new_rank;
+            grb::ewise_add(new_rank, rank, update.value(),
+                           [](double a, double b) { return a + b; });
+            // delta_1 = rank_1 - rank_0 = new_rank - 1/n (new_rank is
+            // dense, so delta covers every vertex).
+            grb::apply(delta, new_rank, [n](double x) {
+                return x - 1.0 / static_cast<double>(n);
+            });
+            rank = std::move(new_rank);
+        } else {
+            // rank += update; delta = update without a copy: exchange
+            // the buffers.
+            grb::ewise_add(rank, rank, update.value(),
+                           [](double a, double b) { return a + b; });
+            update.swap_value(delta);
+        }
+    }
+    return to_std(rank, base);
+}
+
 } // namespace
 
 std::vector<double>
@@ -76,56 +146,8 @@ pagerank_residual(const grb::Matrix<double>& A,
                   const grb::Matrix<double>& At, double damping,
                   unsigned iterations)
 {
-    trace::Span algo(trace::Category::kAlgo, "la_pr_residual");
-    const Index n = A.nrows();
-    const double base = (1.0 - damping) / n;
-    const Vector<double> inv_deg = inverse_out_degrees(A);
-
-    Vector<double> rank(n);
-    rank.fill(1.0 / n);
-    // delta starts as rank itself; iteration 1 computes rank_1 directly
-    // and the remaining iterations apply incremental updates:
-    //   rank_{t+1} = rank_t + damping * At (delta_t ./ deg).
-    Vector<double> delta = rank;
-
-    for (unsigned iter = 0;
-         iter < iterations && !cancel_requested(); ++iter) {
-        trace::Span round(trace::Category::kRound, "round", iter);
-        metrics::bump(metrics::kRounds);
-
-        // contrib = delta ./ out_degree.
-        Vector<double> contrib;
-        grb::ewise_mult(contrib, delta, inv_deg,
-                        [](double d, double inv) { return d * inv; });
-
-        // update(i) = damping * sum of in-neighbor contributions.
-        Vector<double> update;
-        grb::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc, At,
-                                         contrib);
-        grb::apply(update, update,
-                   [damping](double x) { return damping * x; });
-
-        if (iter == 0) {
-            // rank_1 = base + update: the one non-incremental step.
-            grb::assign_scalar<double, uint8_t>(rank, nullptr,
-                                                grb::kDefaultDesc, base);
-            Vector<double> new_rank;
-            grb::ewise_add(new_rank, rank, update,
-                           [](double a, double b) { return a + b; });
-            // delta_1 = rank_1 - rank_0 = new_rank - 1/n (new_rank is
-            // dense, so delta covers every vertex).
-            grb::apply(delta, new_rank, [n](double x) {
-                return x - 1.0 / static_cast<double>(n);
-            });
-            rank = std::move(new_rank);
-        } else {
-            // rank += update; delta = update (no extra pass: move).
-            grb::ewise_add(rank, rank, update,
-                           [](double a, double b) { return a + b; });
-            delta = std::move(update);
-        }
-    }
-    return to_std(rank, base);
+    return pagerank_residual_rounds("la_pr_residual", A, At, damping,
+                                    iterations);
 }
 
 std::vector<double>
@@ -133,60 +155,9 @@ pagerank_residual_lazy(const grb::Matrix<double>& A,
                        const grb::Matrix<double>& At, double damping,
                        unsigned iterations)
 {
-    trace::Span algo(trace::Category::kAlgo, "la_pr_lazy");
     grb::ExecModeScope mode(grb::ExecMode::kNonBlocking);
-    const Index n = A.nrows();
-    const double base = (1.0 - damping) / n;
-    const Vector<double> inv_deg = inverse_out_degrees(A);
-
-    Vector<double> rank(n);
-    rank.fill(1.0 / n);
-    Vector<double> delta = rank;
-
-    // Lazy handles, declared after every vector their pending nodes
-    // read (delta, inv_deg): destruction is a flush point. The fusion
-    // planner folds contrib's eWiseMult into update's pull kernel, so
-    // the product lands in contrib's recycled spare buffer, which
-    // charges only its growth; update's output buffer is recycled
-    // round over round and rotated with delta by swap_value.
-    grb::LazyVector<double> contrib(n);
-    grb::LazyVector<double> update(n);
-
-    for (unsigned iter = 0;
-         iter < iterations && !cancel_requested(); ++iter) {
-        trace::Span round(trace::Category::kRound, "round", iter);
-        metrics::bump(metrics::kRounds);
-
-        // The same three logical ops as pagerank_residual; recorded,
-        // fused into a single pull pass, and executed at the
-        // update.value() materialization point below.
-        grb::lazy::ewise_mult(contrib, delta, inv_deg,
-                              [](double d, double inv) {
-                                  return d * inv;
-                              });
-        grb::lazy::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc,
-                                               At, contrib);
-        grb::lazy::apply(update,
-                         [damping](double x) { return damping * x; });
-
-        if (iter == 0) {
-            grb::assign_scalar<double, uint8_t>(rank, nullptr,
-                                                grb::kDefaultDesc, base);
-            Vector<double> new_rank;
-            grb::ewise_add(new_rank, rank, update.value(),
-                           [](double a, double b) { return a + b; });
-            grb::apply(delta, new_rank, [n](double x) {
-                return x - 1.0 / static_cast<double>(n);
-            });
-            rank = std::move(new_rank);
-        } else {
-            grb::ewise_add(rank, rank, update.value(),
-                           [](double a, double b) { return a + b; });
-            // delta = update without a copy: exchange the buffers.
-            update.swap_value(delta);
-        }
-    }
-    return to_std(rank, base);
+    return pagerank_residual_rounds("la_pr_lazy", A, At, damping,
+                                    iterations);
 }
 
 } // namespace gas::la

@@ -67,8 +67,10 @@ grb::Vector<uint32_t> bfs_pushpull(const grb::Matrix<uint8_t>& A,
 
 /// Direction per round from grb::SpmvDispatcher's cost model (frontier
 /// out-degree vs. masked pull candidates, with hysteresis). Runs in the
-/// caller's execution mode (eager by default). @p force overrides the
-/// cost model (the ablation bench's forced-push / forced-pull modes).
+/// caller's execution mode; the default, blocking, is the eager ops
+/// counter for counter (no fusion, no recycled buffers). @p force
+/// overrides the cost model (the ablation bench's forced-push /
+/// forced-pull modes).
 grb::Vector<uint32_t> bfs_auto(const grb::Matrix<uint8_t>& A,
                                const grb::Matrix<uint8_t>& At,
                                grb::Index source,
@@ -109,12 +111,9 @@ std::vector<double> pagerank_residual(const grb::Matrix<double>& A,
                                       const grb::Matrix<double>& At,
                                       double damping, unsigned iterations);
 
-/// pagerank_residual in non-blocking mode: the per-round eWiseMult is
-/// subsumed by the pull kernel, which reads its product from recycled
-/// scratch (the contribution vector lands in a buffer that charges only
-/// its growth, never a fresh allocation), and the damping apply rides
-/// the same kernel's per-entry hook. Identical output to
-/// pagerank_residual().
+/// pagerank_residual's loop in non-blocking mode: the per-round
+/// eWiseMult and damping apply fold into the pull kernel, whose
+/// buffers are recycled round over round. Identical output.
 std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
                                            const grb::Matrix<double>& At,
                                            double damping,
@@ -130,10 +129,9 @@ std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
 std::vector<uint64_t> sssp_delta(const grb::Matrix<uint64_t>& A,
                                  grb::Index source, uint64_t delta);
 
-/// sssp_delta in non-blocking mode: each relaxation's eWiseMult +
-/// select pair fuses into one kernel (the improvements vector is
-/// subsumed) and SpMV outputs recycle their buffers across rounds.
-/// Identical output to sssp_delta().
+/// sssp_delta's loop in non-blocking mode: each relaxation's eWiseMult
+/// + select pair fuses into one kernel and the SpMV outputs recycle
+/// their buffers across rounds. Identical output.
 std::vector<uint64_t> sssp_delta_lazy(const grb::Matrix<uint64_t>& A,
                                       grb::Index source, uint64_t delta);
 

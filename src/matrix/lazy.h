@@ -50,15 +50,12 @@
  *    value of its own until it is next overwritten; reading it is a
  *    checked error (GAS_CHECK).
  *
- * In blocking mode the recorders execute the node immediately after
- * attaching it, so the same algorithm source runs either mode and
- * fusion is naturally disabled — this is what the lazy-vs-eager
- * equivalence suite exploits, and how la::bfs_auto and la::bfs_lazy
- * share one round body. Results are identical to the eager ops, but
- * the execution is not: the SpMV recorders still hand their output
- * handle's spare buffer to the kernel as its recycle buffer, so a
- * blocking-mode run materializes fewer bytes (kBytesMaterialized)
- * than the same ops called on plain vectors.
+ * In blocking mode the recorders execute the node as they attach it,
+ * so nothing is ever absorbed, and hand the kernels no recycle buffer:
+ * blocking mode is the eager ops, counter for counter. The same source
+ * thus runs either mode; the lazy-vs-eager equivalence suite exploits
+ * this, and each eager matrix-API baseline (la::bfs_auto,
+ * la::sssp_delta, la::pagerank_residual) shares its lazy twin's loop.
  */
 
 #include <atomic>
@@ -193,6 +190,10 @@ make_sink_node(Kernel kernel, Accept accepts_assign)
     auto state = std::make_shared<SinkState<T>>();
     auto node = std::make_shared<LazyNode<T>>();
     node->run = [state, kernel = std::move(kernel)]() {
+        if (!state->transform && !state->has_assign) {
+            kernel(NoSink{}); // nothing absorbed: the eager op's kernel
+            return;
+        }
         auto extras = [state](Index i, T& v) {
             if (state->transform) {
                 v = state->transform(v);
@@ -252,8 +253,8 @@ make_sink_node(Kernel kernel, Accept accepts_assign)
  * A vector handle whose contents may be an unevaluated expression.
  *
  * Owns the materialized value, a spare buffer the SpMV kernels
- * recycle round over round (the main source of the non-blocking mode's
- * kBytesMaterialized savings), and at most one pending node. All
+ * recycle round over round in non-blocking mode (the main source of
+ * its kBytesMaterialized savings), and at most one pending node. All
  * reading accessors are materialization points. Handles register with
  * the lazy registry so backend/mode sync points can flush them.
  */
@@ -374,6 +375,14 @@ class LazyVector : public detail::Flushable
     Vector<T>& storage() { return value_; }
     Vector<T>& spare() { return spare_; }
 
+    /// The kernel's recycle buffer, decided at record time: none in
+    /// blocking mode, which allocates every output fresh as eager does.
+    Vector<T>*
+    recycle_buffer()
+    {
+        return exec_mode() == ExecMode::kNonBlocking ? &spare_ : nullptr;
+    }
+
     /// Force pending work and check the handle still owns its value.
     void
     materialize()
@@ -394,8 +403,8 @@ class LazyVector : public detail::Flushable
     }
 
     /// Attach a freshly recorded node. Blocking mode executes it on the
-    /// spot, so the recorders return the eager ops' results (see the
-    /// file comment for what still differs).
+    /// spot, before any later recording could be absorbed into it, so
+    /// the node runs exactly the eager op.
     void
     adopt(std::shared_ptr<detail::LazyNode<T>> node)
     {
@@ -440,10 +449,11 @@ dispatch_spmv(SpmvDispatcher<T>& dispatcher, LazyVector<T>& w,
     LazyVector<T>* wp = &w;
     const Vector<T>* up = &u;
     SpmvDispatcher<T>* dp = &dispatcher;
+    Vector<T>* recycle = w.recycle_buffer();
     auto node = detail::make_sink_node<T>(
-        [dp, wp, up, mask, desc](const auto& sink) {
+        [dp, wp, up, mask, desc, recycle](const auto& sink) {
             dp->template dispatch_spmv<Semiring>(wp->storage(), mask, desc,
-                                                 *up, sink, &wp->spare());
+                                                 *up, sink, recycle);
         },
         // Only an assign into the SpMV's own mask fuses (the BFS round).
         [mask](const void* target) { return target == mask; });
@@ -506,12 +516,13 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     LazyVector<T>* wp = &w;
     LazyVector<T>* up = &u;
     const Matrix<T>* ap = &A;
+    Vector<T>* recycle = w.recycle_buffer();
     auto node = detail::make_sink_node<T>(
-        [wp, up, ap, mask, desc,
+        [wp, up, ap, mask, desc, recycle,
          mult = std::move(mult)](const auto& sink) {
             if (!mult.has_value()) {
                 grb::mxv<Semiring>(wp->storage(), mask, desc, *ap,
-                                   up->storage(), sink, &wp->spare());
+                                   up->storage(), sink, recycle);
                 return;
             }
             // The subsumed producer's product, built in u's spare
@@ -523,7 +534,7 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
             grb::ewise_mult(operand, *mult->u, *mult->v, mult->fn,
                             NoSink{}, &up->spare());
             grb::mxv<Semiring>(wp->storage(), mask, desc, *ap, operand,
-                               sink, &wp->spare());
+                               sink, recycle);
             up->spare() = std::move(operand);
         },
         [mask](const void* target) { return target == mask; });
@@ -599,12 +610,9 @@ record_ewise(LazyVector<T>& w, const Vector<T>& u, const Vector<T>& v,
                                        *vp, fn, plan->pred);
             } else if (intersection) {
                 grb::ewise_mult(wp->storage(), *up, *vp, fn, sink);
-            } else if (dense_dense) {
-                grb::ewise_add(wp->storage(), *up, *vp, fn, sink);
             } else {
-                // ewise_add takes a sink only on dense operands; this
-                // node never accepted an assign.
-                grb::ewise_add(wp->storage(), *up, *vp, fn);
+                // Sparse operands run with NoSink: only dense ones assign.
+                grb::ewise_add(wp->storage(), *up, *vp, fn, sink);
             }
         },
         [plan, dense_dense](const void*) {

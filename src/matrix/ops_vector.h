@@ -240,11 +240,11 @@ ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn,
     const Vector<T>& other = u.format() == VectorFormat::kDense ? v : u;
     const bool base_is_u = u.format() == VectorFormat::kDense;
     base.densify();
-    auto& vals = base.dense_values();
-    auto& present = base.dense_presence();
+    T* vals = base.dense_values().data();
+    uint8_t* present = base.dense_presence().data();
     std::atomic<Nnz> added{0};
     // Fold one entry of the other operand; returns whether it was new.
-    auto fold = [&](Index i, T value) {
+    auto fold = [vals, present, base_is_u, &fn](Index i, T value) {
         if (present[i] != 0) {
             // Preserve argument order: fn(u value, v value).
             vals[i] = base_is_u ? fn(vals[i], value) : fn(value, vals[i]);
@@ -261,16 +261,19 @@ ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn,
         metrics::bump(metrics::kLabelWrites, folded);
     };
     if (other.format() == VectorFormat::kDense) {
-        const auto& ovals = other.dense_values();
-        const auto& opresent = other.dense_presence();
         rt::do_all_blocked(
             base.size(),
             [&](rt::Range range) {
+                // Block-local copies (see ewise_mult_dense).
+                const T* ovals = other.dense_values().data();
+                const uint8_t* opresent = other.dense_presence().data();
+                auto block_fold = fold;
                 uint64_t folded = 0;
                 Nnz local_added = 0;
                 for (std::size_t i = range.begin; i < range.end; ++i) {
                     if (opresent[i] != 0) {
-                        local_added += fold(static_cast<Index>(i), ovals[i]);
+                        local_added +=
+                            block_fold(static_cast<Index>(i), ovals[i]);
                         ++folded;
                         sink(static_cast<Index>(i), vals[i]);
                     } else if constexpr (kHasSink) {
@@ -314,21 +317,25 @@ Nnz
 ewise_mult_dense(const Vector<T>& u, const Vector<T>& v, const Fn& fn,
                  Keep&& keep)
 {
-    const auto& uvals = u.dense_values();
-    const auto& upresent = u.dense_presence();
-    const auto& vvals = v.dense_values();
-    const auto& vpresent = v.dense_presence();
     std::atomic<Nnz> kept{0};
     rt::do_all_blocked(
         u.size(),
         [&](rt::Range range) {
+            // Block-local copies of the data pointers and of keep (which
+            // holds the output's): a uint8_t store may alias any memory,
+            // so a pointer read through a closure reloads per entry.
+            const T* uvals = u.dense_values().data();
+            const uint8_t* upresent = u.dense_presence().data();
+            const T* vvals = v.dense_values().data();
+            const uint8_t* vpresent = v.dense_presence().data();
+            auto block_keep = keep;
             uint64_t products = 0;
             Nnz local = 0;
             for (std::size_t i = range.begin; i < range.end; ++i) {
                 if (upresent[i] != 0 && vpresent[i] != 0) {
                     T value = fn(uvals[i], vvals[i]);
                     ++products;
-                    if (keep(static_cast<Index>(i), value)) {
+                    if (block_keep(static_cast<Index>(i), value)) {
                         ++local;
                     }
                 }
@@ -439,10 +446,10 @@ ewise_mult(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn,
     }
 
     Vector<T> result = detail::take_dense_output(u.size(), recycle);
-    auto& vals = result.dense_values();
-    auto& present = result.dense_presence();
-    result.set_dense_nvals(
-        detail::ewise_mult_dense(u, v, fn, [&](Index i, T& value) {
+    T* vals = result.dense_values().data();
+    uint8_t* present = result.dense_presence().data();
+    result.set_dense_nvals(detail::ewise_mult_dense(
+        u, v, fn, [vals, present, &sink](Index i, T& value) {
             sink(i, value);
             vals[i] = value;
             present[i] = 1;

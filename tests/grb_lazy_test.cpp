@@ -26,6 +26,7 @@
 #include <bit>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "lagraph/lagraph.h"
 #include "matrix/grb.h"
@@ -504,6 +505,50 @@ TEST_P(GrbLazyTest, BlockingModeExecutesImmediately)
     dist_e.fill(2);
     d2.dispatch_spmv<LorLand>(w_e, &dist_e, kDefaultDesc, u);
     EXPECT_EQ(to_model(w_e), to_model(w.value()));
+
+    // Blocking mode is the eager ops counter for counter: rounds
+    // recorded into one handle must not recycle its buffers (the third
+    // round is the first that could reuse a spare). One thread keeps
+    // the scheduler counters deterministic.
+    rt::set_num_threads(1);
+    const auto Ad = random_matrix<double>(n, 0.2, 83);
+    const auto ud = random_vector<double>(n, 1.0, 84, true);
+    const Vector<uint8_t> mask = random_vector<uint8_t>(n, 0.5, 85, false);
+    const auto eager_rounds = [&] {
+        SpmvDispatcher<uint8_t> de(A);
+        Vector<uint8_t> we;
+        Vector<double> xe;
+        for (int round = 0; round < 3; ++round) {
+            de.dispatch_spmv<LorLand>(we, &dist_e, kDefaultDesc, u);
+            grb::mxv<PlusTimes<double>>(xe, &mask, kDefaultDesc, Ad, ud);
+        }
+        return to_model(xe);
+    };
+    const auto recorded_rounds = [&] {
+        SpmvDispatcher<uint8_t> dl(A);
+        LazyVector<uint8_t> wl(n);
+        LazyVector<double> xl(n);
+        LazyVector<double> ul(ud);
+        for (int round = 0; round < 3; ++round) {
+            lazy::dispatch_spmv<LorLand>(dl, wl, &dist_e, kDefaultDesc, u);
+            lazy::mxv<PlusTimes<double>>(xl, &mask, kDefaultDesc, Ad, ul);
+        }
+        return to_model(xl.value());
+    };
+    // Warm run: first-use workspaces charge bytes once.
+    (void)eager_rounds();
+    const metrics::Interval eager_interval;
+    const auto eager_x = eager_rounds();
+    const auto eager_delta = eager_interval.delta();
+    const metrics::Interval recorded_interval;
+    const auto recorded_x = recorded_rounds();
+    const auto recorded_delta = recorded_interval.delta();
+    EXPECT_EQ(eager_x, recorded_x);
+    for (unsigned c = 0; c < metrics::kNumCounters; ++c) {
+        const auto id = static_cast<metrics::CounterId>(c);
+        EXPECT_EQ(recorded_delta[id], eager_delta[id])
+            << "counter " << metrics::counter_name(id);
+    }
 }
 
 // ---- materialization points ----
@@ -691,29 +736,37 @@ TEST_P(GrbLazyTest, SsspDeltaLazyMatchesEager)
     EXPECT_EQ(eager, lazy_run);
 }
 
-// The passes, bytes and planner decisions of whole lazy runs. The
-// recycled scratch of the PR round and the fused select's output are
-// what a kernel refactor could change without changing a result.
+// The passes, bytes and planner decisions of whole lazy runs, and the
+// passes, bytes and label traffic of their eager baselines (the Table
+// IV/V figures of the unfused matrix API). The recycled scratch of the
+// PR round and the fused select's output are what a kernel refactor
+// could change without changing a result.
 TEST_P(GrbLazyTest, LazyChainsKeepPassesAndBytes)
 {
-    constexpr std::array<metrics::CounterId, 4> kCounters = {
+    using Counts = std::vector<uint64_t>;
+    const std::vector<metrics::CounterId> kCounters = {
         metrics::kPasses, metrics::kBytesMaterialized,
         metrics::kFusedChains, metrics::kLazyFallbacks};
-    using Counts = std::array<uint64_t, kCounters.size()>;
-    const auto measure = [&](const auto& run) {
+    const std::vector<metrics::CounterId> kEagerCounters = {
+        metrics::kPasses, metrics::kBytesMaterialized,
+        metrics::kLabelReads, metrics::kLabelWrites, metrics::kWorkItems};
+    const auto measure = [&](const std::vector<metrics::CounterId>& ids,
+                             const auto& run) {
         const metrics::Interval interval;
         run();
         const auto delta = interval.delta();
-        Counts counts{};
-        for (std::size_t k = 0; k < kCounters.size(); ++k) {
-            counts[k] = delta[kCounters[k]];
+        Counts counts;
+        for (const auto id : ids) {
+            counts.push_back(delta[id]);
         }
         return counts;
     };
     const auto render = [](const Counts& c) {
-        return "{" + std::to_string(c[0]) + ", " + std::to_string(c[1]) +
-            ", " + std::to_string(c[2]) + ", " + std::to_string(c[3]) +
-            "}";
+        std::string out = "{";
+        for (std::size_t k = 0; k < c.size(); ++k) {
+            out += (k == 0 ? "" : ", ") + std::to_string(c[k]);
+        }
+        return out + "}";
     };
 
     const auto Ad = random_matrix<double>(120, 0.05, 121);
@@ -723,13 +776,21 @@ TEST_P(GrbLazyTest, LazyChainsKeepPassesAndBytes)
         (void)la::pagerank_residual_lazy(Ad, At, 0.85, 10);
     };
     const auto run_sssp = [&] { (void)la::sssp_delta_lazy(Au, 0, 4); };
+    const auto run_pr_eager = [&] {
+        (void)la::pagerank_residual(Ad, At, 0.85, 10);
+    };
+    const auto run_sssp_eager = [&] { (void)la::sssp_delta(Au, 0, 4); };
     // Warm runs first: first-use allocations (the cached SPA
     // workspaces, storage a matrix builds on first use) charge bytes
     // once, which would make the counts depend on test order.
     run_pr();
     run_sssp();
-    const Counts pr = measure(run_pr);
-    const Counts sssp = measure(run_sssp);
+    run_pr_eager();
+    run_sssp_eager();
+    const auto pr = measure(kCounters, run_pr);
+    const auto sssp = measure(kCounters, run_sssp);
+    const auto pr_eager = measure(kEagerCounters, run_pr_eager);
+    const auto sssp_eager = measure(kEagerCounters, run_sssp_eager);
 
     // passes, bytes materialized, fused chains, lazy fallbacks; equal on
     // both backends. sssp's bytes include the light/heavy matrices it
@@ -748,6 +809,24 @@ TEST_P(GrbLazyTest, LazyChainsKeepPassesAndBytes)
                                << render(pr);
     EXPECT_EQ(sssp, sssp_expected) << "sssp_delta_lazy measured "
                                    << render(sssp);
+
+    // passes, bytes materialized, label reads, label writes, work items
+    // of the eager baselines; equal on both backends.
+    const Counts pr_eager_expected = {44, 23760, 10750, 5242, 10940};
+    uint64_t sssp_eager_bytes = 41806;
+    if (const auto forced = storage_format_from_env()) {
+        switch (*forced) {
+          case StorageFormat::kCsr: sssp_eager_bytes = 41218; break;
+          case StorageFormat::kBitmapCsr: sssp_eager_bytes = 42426; break;
+          case StorageFormat::kSell: sssp_eager_bytes = 57314; break;
+        }
+    }
+    const Counts sssp_eager_expected = {106, sssp_eager_bytes, 1729, 2702,
+                                        6791};
+    EXPECT_EQ(pr_eager, pr_eager_expected) << "pagerank_residual measured "
+                                           << render(pr_eager);
+    EXPECT_EQ(sssp_eager, sssp_eager_expected) << "sssp_delta measured "
+                                               << render(sssp_eager);
 }
 
 // ---- trace attribution still reconciles over a lazy run ----
