@@ -295,8 +295,12 @@ atomic_claim(uint8_t& flag)
  *  - kClaimed: a scatter wrote the slot (atomic_claim).
  *  - kMaskedOut: a masked vxm marked the column as rejected before its
  *    scatter; for a semiring with an absorbing element the value holds
- *    absorbing(), so atomic_accum stops at its first load and
- *    atomic_claim never claims the slot.
+ *    absorbing(), so vxm's scatter ends every edge into it at its first
+ *    load, and atomic_claim never claims the slot.
+ *
+ * During a scatter a value of absorbing() is therefore final: the slot
+ * is kMaskedOut, or the scatter that stored absorbing() claims it
+ * itself, so vxm skips edges into such slots without claiming.
  *
  * Outside an operation every value holds the identity and every flag
  * is free; the operation that dirtied slots restores them in the same

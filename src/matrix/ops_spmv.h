@@ -336,13 +336,21 @@ for_each_set_flag(const uint8_t* occ, Index lo, Index hi, Fn&& fn)
  * scatter (SuiteSparse saxpy3's mask scatter): one shielded pass over
  * [0, ncols) flags each rejected column kMaskedOut and, for a semiring
  * with an absorbing element, sets its value to absorbing(). The
- * scatter's per-edge loop is the same with or without a mask; its own
- * early-outs skip the marked columns — atomic_accum stops at its first
- * load (add(absorbing, x) == absorbing) and atomic_claim does not
- * claim a non-free flag — so bfs under its complemented visited mask
- * stops claiming columns it already reached. The compaction counts
- * and emits only kClaimed slots, with no mask test, and resets each
- * marked block to free/identity after emitting it. The pass costs
+ * scatter's per-edge loop is the same with or without a mask. For a
+ * semiring with an absorbing element it starts each edge with one
+ * relaxed load of the slot, and a slot already at absorbing() ends
+ * the edge before the product: no atomic_accum, no atomic_claim. A
+ * slot holds absorbing() only if the pre-mark set it (kMaskedOut) or
+ * a scatter stored it, and the claim is made by the edge that wrote
+ * the slot, so each touched column is still claimed exactly once and
+ * the skipped update could not have changed it (add(absorbing, x) ==
+ * absorbing). bfs under its complemented visited mask thus pays one
+ * load per edge into a column it already reached (EXPERIMENTS.md,
+ * "Saturated-slot early exit in push vxm"). Without an absorbing
+ * element the marked columns are skipped by atomic_claim, which does
+ * not claim a non-free flag. The compaction counts and emits only
+ * kClaimed slots, with no mask test, and resets each marked block to
+ * free/identity after emitting it. The pass costs
  * O(ncols + nnz(mask)) <= kDenseSpaFlopRatio * f + nnz(mask). An
  * explicit per-edge test of the kMaskedOut flag instead was measured
  * slower: it doubled the largest bfs-social round at 2 threads (the
@@ -404,16 +412,32 @@ vxm(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
     // Scatter one row of A scaled by x; every edge is one accumulator
     // write, so the caller bills end - begin writes per row.
     auto scatter_row = [&](Index i, T x) {
+        // Row-local copies: the byte-wide claim may alias any memory,
+        // so a pointer read through the closure reloads per edge.
+        const Index* const cols = A.raw_col().data();
+        const T* const avals = A.raw_vals().data();
+        T* const slots = acc;
+        uint8_t* const flags = occ;
+        const bool keep_list = !dense_spa;
         const Nnz begin = A.row_begin(i);
         const Nnz end = A.row_end(i);
         for (Nnz e = begin; e < end; ++e) {
-            const Index j = A.col_at(e);
-            const T product = Semiring::mul(x, A.val_at(e));
-            atomic_accum(acc[j], product, [](T a, T b) {
-                return Semiring::add(a, b);
-            });
-            if (atomic_claim(occ[j]) && !dense_spa) {
-                touched.push(j);
+            const Index j = cols[e];
+            if constexpr (HasAbsorbing<Semiring>) {
+                // A saturated slot is finished: it is kMaskedOut, or
+                // the scatter that stored absorbing() claims it.
+                if (std::atomic_ref<T>(slots[j]).load(
+                        std::memory_order_relaxed) ==
+                    Semiring::absorbing()) {
+                    continue;
+                }
+            }
+            atomic_accum(slots[j], Semiring::mul(x, avals[e]),
+                         [](T a, T b) { return Semiring::add(a, b); });
+            if (atomic_claim(flags[j]) && keep_list) {
+                // push takes a reference: pass a copy, or j is spilled
+                // to the stack on every edge.
+                touched.push(Index{j});
             }
         }
         return end - begin;

@@ -71,24 +71,30 @@ assign_scalar(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         // Fast path: iterate only the mask's explicit entries. Not
         // valid under replace semantics, which must also clear the
         // positions the mask does not name.
-        const auto& idx = mask->sparse_indices();
-        const auto& mvals = mask->sparse_values();
         std::atomic<Nnz> added{0};
         rt::do_all_blocked(
-            idx.size(),
+            mask->sparse_indices().size(),
             [&](rt::Range range) {
+                // Block-local copies (see detail::ewise_mult_dense): the
+                // presence byte store would reload each one per entry.
+                const Index* idx = mask->sparse_indices().data();
+                const MT* mvals = mask->sparse_values().data();
+                uint8_t* wpresent = present.data();
+                T* wvals = vals.data();
+                const bool structural = desc.structural_mask;
+                const T x = value;
                 Nnz local_added = 0;
                 uint64_t writes = 0;
                 for (std::size_t k = range.begin; k < range.end; ++k) {
-                    if (!desc.structural_mask && mvals[k] == MT{0}) {
+                    if (!structural && mvals[k] == MT{0}) {
                         continue;
                     }
                     const Index i = idx[k];
-                    if (present[i] == 0) {
-                        present[i] = 1;
+                    if (wpresent[i] == 0) {
+                        wpresent[i] = 1;
                         ++local_added;
                     }
-                    vals[i] = value;
+                    wvals[i] = x;
                     ++writes;
                 }
                 added.fetch_add(local_added, std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <set>
 
 #include "matrix/grb.h"
 #include "runtime/thread_pool.h"
@@ -20,11 +21,12 @@ namespace {
 
 using Model = std::map<Index, uint64_t>;
 
+template <typename T>
 Model
-to_model(const Vector<uint64_t>& v)
+to_model(const Vector<T>& v)
 {
     Model model;
-    v.for_entries([&](Index i, uint64_t x) { model[i] = x; });
+    v.for_entries([&](Index i, T x) { model[i] = x; });
     return model;
 }
 
@@ -76,12 +78,12 @@ random_vector(Index size, double density, uint64_t seed, bool dense)
 }
 
 /// Oracle: w(j) = add_i mul(u(i), A(i,j)) over explicit entries.
-template <typename S>
+template <typename S, typename T>
 Model
-vxm_oracle(const Vector<uint64_t>& u, const Matrix<uint64_t>& A)
+vxm_oracle(const Vector<T>& u, const Matrix<T>& A)
 {
     Model result;
-    u.for_entries([&](Index i, uint64_t x) {
+    u.for_entries([&](Index i, T x) {
         for (Nnz e = A.row_begin(i); e < A.row_end(i); ++e) {
             const Index j = A.col_at(e);
             const uint64_t product = S::mul(x, A.val_at(e));
@@ -601,6 +603,103 @@ TEST(GrbVxmSpa, MaskPremarkLeavesSpaClean)
             run(PlusTimes<uint64_t>{});
         }
     }
+}
+
+TEST(GrbVxmSpa, SaturatedSlotsKeepExplicitEntries)
+{
+    // For an absorbing semiring the scatter skips an edge whose slot
+    // already holds absorbing(), and only the edge that stored it
+    // claims the slot. A column whose every product is false must
+    // still be claimed (it is an explicit entry with value 0), and a
+    // column reached by both false and true products must come out
+    // once, as 1. The real LorLand over uint8_t, with explicit zeros
+    // in both A and u, reaches both kinds of column.
+    const Index n = 4096;
+    const auto A = varied_matrix<uint8_t>(n, 521, [](Rng& rng) {
+        return static_cast<uint8_t>(rng.next_bounded(3) != 0);
+    });
+    Vector<uint8_t> frontier(n);
+    Rng rng(522);
+    for (Index i = 0; i < n; ++i) {
+        if (rng.next_double() < 0.5) {
+            frontier.set_element(i,
+                                 static_cast<uint8_t>(rng.next_bounded(3) != 0));
+        }
+    }
+    frontier.densify();
+    // Long rows, alternately true and false, up to just below the
+    // dense-scan threshold (n / 8 flops), so their columns overlap.
+    Vector<uint8_t> few_rows(n);
+    Nnz flops = 0;
+    for (Index i = 5; flops + A.row_nvals(i) < n / 8; i += 5) {
+        few_rows.set_element(i, static_cast<uint8_t>(i % 10 != 0));
+        flops += A.row_nvals(i);
+    }
+
+    // Complemented value mask with present-but-zero entries.
+    Vector<uint8_t> mask(n);
+    for (Index j = 0; j < n; ++j) {
+        if (rng.next_double() < 0.4) {
+            mask.set_element(j, static_cast<uint8_t>(j % 3 != 0));
+        }
+    }
+    mask.densify();
+    Descriptor complement;
+    complement.mask_complement = true;
+
+    for (const auto& [u, dense_mode] :
+         {std::pair<const Vector<uint8_t>*, bool>{&frontier, true},
+          std::pair<const Vector<uint8_t>*, bool>{&few_rows, false}}) {
+        const Model full = vxm_oracle<LorLand>(*u, A);
+        // Columns reached by a false product: every one is in the
+        // output, some as 0 and some (also reached by a true one) as 1.
+        std::set<Index> false_hit;
+        u->for_entries([&](Index i, uint8_t x) {
+            for (Nnz e = A.row_begin(i); e < A.row_end(i); ++e) {
+                if (LorLand::mul(x, A.val_at(e)) == 0) {
+                    false_hit.insert(A.col_at(e));
+                }
+            }
+        });
+        std::size_t only_false = 0;
+        std::size_t both = 0;
+        for (const Index j : false_hit) {
+            (full.at(j) == 0 ? only_false : both) += 1;
+        }
+        ASSERT_GT(only_false, 0u);
+        ASSERT_GT(both, 0u);
+        Model masked;
+        for (const auto& [j, x] : full) {
+            if (!mask.mask_true(j)) {
+                masked[j] = x;
+            }
+        }
+        ASSERT_LT(masked.size(), full.size());
+
+        for (const int threads : {1, 4}) {
+            rt::set_num_threads(threads);
+            for (const Backend backend :
+                 {Backend::kParallel, Backend::kReference}) {
+                BackendScope scope(backend);
+                SCOPED_TRACE(std::string(backend == Backend::kParallel
+                                             ? "Parallel"
+                                             : "Reference") +
+                             (dense_mode ? " dense SPA" : " sparse SPA") +
+                             " t" + std::to_string(threads));
+                Vector<uint8_t> w;
+                vxm<LorLand>(w, static_cast<const Vector<uint8_t>*>(nullptr),
+                             kDefaultDesc, *u, A);
+                EXPECT_EQ(to_model(w), full);
+                vxm<LorLand>(w, &mask, complement, *u, A);
+                EXPECT_EQ(to_model(w), masked);
+                // The SPA must be clean after the masked run.
+                vxm<LorLand>(w, static_cast<const Vector<uint8_t>*>(nullptr),
+                             kDefaultDesc, *u, A);
+                EXPECT_EQ(to_model(w), full);
+            }
+        }
+    }
+    rt::set_num_threads(4);
 }
 
 } // namespace

@@ -390,12 +390,22 @@ TEST(Cancellation, MaskedVxmCutMidScatterLeavesCleanAccumulator)
         [&](grb::Index j, uint64_t x) { want.emplace_back(j, x); });
     std::sort(want.begin(), want.end());
 
+    // The scatter computes no product for an edge into a saturated
+    // slot, so a masked run computes far fewer than nvals(A) products.
+    // Count an uncut run's, and trip a third of the way through them.
+    TrippingLorLand::products = 0;
+    grb::Vector<uint64_t> uncut;
+    grb::vxm<TrippingLorLand>(uncut, &visited, grb::kComplementReplaceDesc,
+                              u, A);
+    const uint64_t masked_products = TrippingLorLand::products.load();
+    ASSERT_GE(masked_products, 3u);
+
     for (int round = 0; round < 3; ++round) {
         {
             CancelToken token;
             CancelScope scope(token);
             TrippingLorLand::products = 0;
-            TrippingLorLand::trip_after = A.nvals() / 3;
+            TrippingLorLand::trip_after = masked_products / 3;
             TrippingLorLand::token = &token;
             grb::Vector<uint64_t> partial;
             grb::vxm<TrippingLorLand>(partial, &visited,
