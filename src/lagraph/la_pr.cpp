@@ -70,9 +70,10 @@ pagerank_residual_rounds(const char* span_name,
                               [](double d, double inv) {
                                   return d * inv;
                               });
-        // update(i) = damping * sum of in-neighbor contributions.
-        grb::lazy::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc,
-                                               At, contrib);
+        // update(i) = damping * sum of in-neighbor contributions;
+        // PLUS_SECOND reads At's pattern only, never its values.
+        grb::lazy::mxv<grb::PlusSecond<double>>(update, grb::kDefaultDesc,
+                                                At, contrib);
         grb::lazy::apply(update,
                          [damping](double x) { return damping * x; });
 
@@ -124,9 +125,10 @@ pagerank(const grb::Matrix<double>& A, const grb::Matrix<double>& At,
         grb::ewise_mult(t, rank, inv_deg,
                         [](double r, double inv) { return r * inv; });
 
-        // w(i) = sum over in-neighbors j of t(j): pull along At.
+        // w(i) = sum over in-neighbors j of t(j): pull along At's
+        // pattern (PLUS_SECOND never reads At's values).
         Vector<double> w;
-        grb::mxv<grb::PlusTimes<double>>(w, grb::kDefaultDesc, At, t);
+        grb::mxv<grb::PlusSecond<double>>(w, grb::kDefaultDesc, At, t);
 
         // w = damping * w  (another pass).
         grb::apply(w, w, [damping](double x) { return damping * x; });

@@ -98,22 +98,25 @@ std::vector<uint32_t> cc_sv(const grb::Matrix<uint32_t>& A);
 
 /**
  * Topology-driven pagerank, @p iterations rounds of power iteration.
- * @param A  adjacency matrix (values ignored, pattern only).
- * @param At its transpose (built in preprocessing).
+ * @param A  adjacency matrix (values ignored, pattern only: the pull
+ *           multiplies with PLUS_SECOND, as LAGraph's PageRank does).
+ * @param At its transpose (built in preprocessing; pattern only).
  */
 std::vector<double> pagerank(const grb::Matrix<double>& A,
                              const grb::Matrix<double>& At, double damping,
                              unsigned iterations);
 
 /// Residual (delta) formulation of pagerank; identical output to
-/// pagerank() but with delta vectors carrying per-round changes.
+/// pagerank() but with delta vectors carrying per-round changes. A and
+/// At: values ignored, pattern only, as for pagerank().
 std::vector<double> pagerank_residual(const grb::Matrix<double>& A,
                                       const grb::Matrix<double>& At,
                                       double damping, unsigned iterations);
 
 /// pagerank_residual's loop in non-blocking mode: the per-round
 /// eWiseMult and damping apply fold into the pull kernel, whose
-/// buffers are recycled round over round. Identical output.
+/// buffers are recycled round over round. Identical output; A and At
+/// are likewise read as patterns only.
 std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
                                            const grb::Matrix<double>& At,
                                            double damping,

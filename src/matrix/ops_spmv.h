@@ -87,6 +87,22 @@ struct PullTally
 };
 
 /**
+ * mul(A(i,j), u(j)) for entry @p e of A. A semiring whose multiply
+ * ignores its first argument (MulIsSecond, e.g. PLUS_SECOND) never
+ * loads A's values: its row scan streams column ids only.
+ */
+template <typename Semiring, typename T>
+inline T
+pull_mul(const Matrix<T>& A, Nnz e, T uj)
+{
+    if constexpr (MulIsSecond<Semiring>) {
+        return uj;
+    } else {
+        return Semiring::mul(A.val_at(e), uj);
+    }
+}
+
+/**
  * Scan one matrix row against a densified u, returning whether any
  * entry contributed and leaving the accumulated value in @p accum.
  *
@@ -98,10 +114,12 @@ struct PullTally
  * least kCsrSimdMinRow entries run the vectorized within-row
  * accumulation. Partial u and absorbing semirings take the probing
  * loop with the early exit. Every loop accumulates in row order, so
- * the result is bit-identical whichever one runs.
+ * the result is bit-identical whichever one runs. The scalar loops
+ * take each product from pull_mul, so a MulIsSecond semiring never
+ * loads A's values.
  */
 template <typename Semiring, typename T>
-inline bool
+[[gnu::always_inline]] inline bool
 pull_row_scan(const Matrix<T>& A, Index i, const uint8_t* upresent,
               const T* uvals, bool u_full, bool use_row_simd, T& accum,
               PullTally& tally)
@@ -126,7 +144,8 @@ pull_row_scan(const Matrix<T>& A, Index i, const uint8_t* upresent,
             }
             for (Nnz e = begin; e < end; ++e) {
                 accum = Semiring::add(
-                    accum, Semiring::mul(A.val_at(e), uvals[A.col_at(e)]));
+                    accum,
+                    pull_mul<Semiring>(A, e, uvals[A.col_at(e)]));
             }
             return len != 0;
         }
@@ -137,8 +156,8 @@ pull_row_scan(const Matrix<T>& A, Index i, const uint8_t* upresent,
     for (; e < end; ++e) {
         const Index j = A.col_at(e);
         if (upresent[j] != 0) {
-            accum =
-                Semiring::add(accum, Semiring::mul(A.val_at(e), uvals[j]));
+            accum = Semiring::add(accum,
+                                  pull_mul<Semiring>(A, e, uvals[j]));
             hit = true;
             ++reads;
             if constexpr (HasAbsorbing<Semiring>) {
@@ -645,22 +664,33 @@ mxv(Vector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         Nnz local = 0;
         uint64_t skipped_rows = 0;
         detail::PullTally tally;
-        for (std::size_t ri = range.begin; ri < range.end; ++ri) {
-            const Index i = row_at(ri);
-            if (!view.test(i)) {
-                ++skipped_rows;
-                continue;
+        auto scan = [&](auto admit) {
+            for (std::size_t ri = range.begin; ri < range.end; ++ri) {
+                const Index i = row_at(ri);
+                if (!admit(i)) {
+                    ++skipped_rows;
+                    continue;
+                }
+                T accum;
+                const bool hit = detail::pull_row_scan<Semiring>(
+                    A, i, upresent.data(), uvals.data(), u_all_present,
+                    use_simd, accum, tally);
+                if (hit) {
+                    sink(i, accum);
+                    out[i] = accum;
+                    present[i] = 1;
+                    ++local;
+                }
             }
-            T accum;
-            const bool hit = detail::pull_row_scan<Semiring>(
-                A, i, upresent.data(), uvals.data(), u_all_present,
-                use_simd, accum, tally);
-            if (hit) {
-                sink(i, accum);
-                out[i] = accum;
-                present[i] = 1;
-                ++local;
-            }
+        };
+        // Test for a mask once per block, not once per row: the
+        // unmasked loop makes no call to MaskView::test. Each copy of
+        // the loop inlines pull_row_scan (always_inline), so hoisting
+        // the test does not trade the mask call for a row-scan call.
+        if (mask == nullptr) {
+            scan([](Index) { return true; });
+        } else {
+            scan([&](Index i) { return view.test(i); });
         }
         count.fetch_add(local, std::memory_order_relaxed);
         metrics::bump(metrics::kLabelWrites, local);

@@ -11,7 +11,8 @@
  *   bfs     LorLand        (reachability)
  *   sssp    MinPlus        (distance relaxation)
  *   cc      MinSecond      (minimum neighbor label)
- *   pr      PlusTimes      (weighted contribution sums)
+ *   pr      PlusSecond     (in-neighbor contribution sums; A's
+ *                          pattern only)
  *   tc      PlusPair       (intersection counting)
  *   ktruss  PlusPair       (edge support counting)
  */
@@ -116,6 +117,7 @@ struct MinSecond
     static constexpr T add(T a, T b) { return std::min(a, b); }
     static constexpr T mul(T, T b) { return b; }
     static constexpr bool add_is_min = true;
+    static constexpr bool mul_is_second = true;
 };
 
 /// add = min, mul = first argument.
@@ -141,7 +143,8 @@ struct PlusPair
     static constexpr bool add_is_min = false;
 };
 
-/// add = plus, mul = second argument.
+/// add = plus, mul = second argument (LAGraph's PLUS_SECOND: sums
+/// u over A's pattern, so pagerank's pull never reads A's values).
 template <typename T>
 struct PlusSecond
 {
@@ -150,7 +153,14 @@ struct PlusSecond
     static constexpr T add(T a, T b) { return a + b; }
     static constexpr T mul(T, T b) { return b; }
     static constexpr bool add_is_min = false;
+    static constexpr bool mul_is_second = true;
 };
+
+/// True when @p S declares that mul(a, b) is b and never reads a. The
+/// pull kernels compute mul(A(i,j), u(j)), so for such a semiring they
+/// treat A as a pattern and never load its values.
+template <typename S>
+concept MulIsSecond = requires { requires S::mul_is_second; };
 
 // ---------------------------------------------------------------------
 // Monoids (for reduce and eWiseAdd) and binary ops (for eWise).

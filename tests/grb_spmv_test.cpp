@@ -411,6 +411,69 @@ TEST(GrbPullBitIdentity, PlusTimesUint32MatchesSerialRowOrder)
         });
 }
 
+// PlusSecond has no SIMD hook, so a SELL matrix takes the scalar row
+// scan, which must skip A's values and still match the serial order.
+TEST(GrbPullBitIdentity, PlusSecondDoubleMatchesSerialRowOrder)
+{
+    expect_pull_bit_identical<PlusSecond<double>, double>(
+        73, [](Rng& rng) { return rng.next_double() * 3.0 - 1.0; });
+}
+
+// mul(1.0, x) == x exactly, so over an all-ones A, PLUS_SECOND and
+// PLUS_TIMES (the SELL slice sweep included) produce the same bytes:
+// switching pagerank's semiring leaves unit-valued ranks unchanged.
+TEST(GrbPullBitIdentity, PlusSecondMatchesPlusTimesOverAllOnes)
+{
+    const Index n = 700;
+    Matrix<double> A =
+        varied_matrix<double>(n, 74, [](Rng&) { return 1.0; });
+    for (const double density : {1.0, 0.5}) {
+        Vector<double> u(n);
+        Rng rng(75);
+        for (Index j = 0; j < n; ++j) {
+            if (density == 1.0 || rng.next_double() < density) {
+                u.set_element(j, rng.next_double() * 3.0 - 1.0);
+            }
+        }
+        u.densify();
+        for (const StorageFormat format :
+             {StorageFormat::kCsr, StorageFormat::kBitmapCsr,
+              StorageFormat::kSell}) {
+            A.set_storage_format(format);
+            for (const Backend backend :
+                 {Backend::kParallel, Backend::kReference}) {
+                BackendScope scope(backend);
+                for (const unsigned threads : {1u, 4u}) {
+                    SCOPED_TRACE(std::string(storage_format_name(format)) +
+                                 " density=" + std::to_string(density) +
+                                 " threads=" + std::to_string(threads));
+                    rt::set_num_threads(threads);
+                    Vector<double> times;
+                    Vector<double> second;
+                    mxv<PlusTimes<double>>(times, kDefaultDesc, A, u);
+                    mxv<PlusSecond<double>>(second, kDefaultDesc, A, u);
+                    const auto& tp = times.dense_presence();
+                    const auto& sp = second.dense_presence();
+                    ASSERT_TRUE(std::equal(tp.begin(), tp.end(), sp.begin(),
+                                           sp.end()));
+                    std::vector<double> a(n, 0.0);
+                    std::vector<double> b(n, 0.0);
+                    for (Index i = 0; i < n; ++i) {
+                        if (times.dense_presence()[i] != 0) {
+                            a[i] = times.dense_values()[i];
+                            b[i] = second.dense_values()[i];
+                        }
+                    }
+                    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                          n * sizeof(double)),
+                              0);
+                }
+            }
+        }
+    }
+    rt::set_num_threads(4);
+}
+
 // ---------------------------------------------------------------------
 // vxm compacts its accumulator in one of two modes, picked from the
 // flop count: a touched-column list for small frontiers and a dense

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
@@ -255,27 +257,55 @@ TEST_P(LagraphTest, ShiloachVishkinMatchesUnionFind)
     EXPECT_EQ(la::cc_sv(A), verify::connected_components(graph_));
 }
 
+/// The pagerank matrix of @p graph: unit values, or the fixture's edge
+/// weights, which pagerank must ignore (it reads the pattern only).
+grb::Matrix<double>
+pagerank_matrix(const Graph& graph, bool use_weights)
+{
+    auto A = grb::Matrix<double>::from_graph(graph, use_weights);
+    if (use_weights && A.nvals() != 0) {
+        const auto& vals = A.raw_vals();
+        EXPECT_TRUE(std::any_of(vals.begin(), vals.end(),
+                                [](double v) { return v != 1.0; }))
+            << "fixture carries no weights";
+    }
+    return A;
+}
+
 TEST_P(LagraphTest, PagerankMatchesPowerIteration)
 {
-    const auto A = grb::Matrix<double>::from_graph(graph_, false);
-    const auto At = A.transpose();
-    const auto ranks = la::pagerank(A, At, 0.85, 10);
     const auto expected = verify::pagerank(graph_, 0.85, 10);
-    ASSERT_EQ(ranks.size(), expected.size());
-    for (std::size_t i = 0; i < ranks.size(); ++i) {
-        ASSERT_NEAR(ranks[i], expected[i], 1e-9) << "vertex " << i;
+    for (const bool use_weights : {false, true}) {
+        SCOPED_TRACE(use_weights ? "weighted" : "unit");
+        const auto A = pagerank_matrix(graph_, use_weights);
+        const auto At = A.transpose();
+        const auto ranks = la::pagerank(A, At, 0.85, 10);
+        ASSERT_EQ(ranks.size(), expected.size());
+        for (std::size_t i = 0; i < ranks.size(); ++i) {
+            ASSERT_NEAR(ranks[i], expected[i], 1e-9) << "vertex " << i;
+        }
     }
 }
 
 TEST_P(LagraphTest, ResidualPagerankMatchesTopologyPagerank)
 {
-    const auto A = grb::Matrix<double>::from_graph(graph_, false);
-    const auto At = A.transpose();
-    const auto topo = la::pagerank(A, At, 0.85, 10);
-    const auto res = la::pagerank_residual(A, At, 0.85, 10);
-    ASSERT_EQ(topo.size(), res.size());
-    for (std::size_t i = 0; i < topo.size(); ++i) {
-        ASSERT_NEAR(topo[i], res[i], 1e-9) << "vertex " << i;
+    const auto expected = verify::pagerank(graph_, 0.85, 10);
+    for (const bool use_weights : {false, true}) {
+        SCOPED_TRACE(use_weights ? "weighted" : "unit");
+        const auto A = pagerank_matrix(graph_, use_weights);
+        const auto At = A.transpose();
+        const auto topo = la::pagerank(A, At, 0.85, 10);
+        const auto res = la::pagerank_residual(A, At, 0.85, 10);
+        const auto lazy = la::pagerank_residual_lazy(A, At, 0.85, 10);
+        ASSERT_EQ(topo.size(), res.size());
+        ASSERT_EQ(topo.size(), lazy.size());
+        for (std::size_t i = 0; i < topo.size(); ++i) {
+            ASSERT_NEAR(topo[i], res[i], 1e-9) << "vertex " << i;
+            ASSERT_NEAR(topo[i], lazy[i], 1e-9) << "vertex " << i;
+            // Against the oracle too: residual and topology could
+            // agree on the same wrong (value-weighted) answer.
+            ASSERT_NEAR(res[i], expected[i], 1e-9) << "vertex " << i;
+        }
     }
 }
 
