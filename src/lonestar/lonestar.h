@@ -11,8 +11,9 @@
  *   cc_afforest     Afforest: sampled union-find + targeted finish
  *   cc_sv           asynchronous Shiloach-Vishkin with unbounded
  *                   pointer jumping (Fig. 3c "ls-sv")
- *   pagerank        residual push, array-of-structs node data ("ls")
- *   pagerank_soa    same, structure-of-arrays node data ("ls-soa")
+ *   pagerank        pull residual, the pulled (coeff, delta) pair in
+ *                   one array of structs ("ls")
+ *   pagerank_soa    same, every field its own array ("ls-soa")
  *   sssp            asynchronous delta-stepping on the OBIM worklist,
  *                   optional edge tiling ("ls" / "ls-notile")
  *   tc              fused triangle listing on a degree-sorted forward
@@ -63,8 +64,11 @@ std::vector<graph::Node> cc_afforest(const graph::Graph& graph,
 /// jumping. @pre graph is symmetric.
 std::vector<graph::Node> cc_sv(const graph::Graph& graph);
 
-/// Pull-based residual pagerank, AoS node data; matches
-/// verify::pagerank exactly after the same number of iterations.
+/// Pull-based residual pagerank; matches verify::pagerank exactly
+/// after the same number of iterations. Each in-edge gathers its
+/// neighbor's (coeff, delta) pair from one 16-byte struct; the pulled
+/// mass and the ranks live in separate arrays, so the pull never reads
+/// a field it does not use. Bit-identical to pagerank_soa.
 /// @param transpose the reverse graph (in-edges), built in
 ///        preprocessing.
 std::vector<double> pagerank(const graph::Graph& graph,
@@ -72,7 +76,7 @@ std::vector<double> pagerank(const graph::Graph& graph,
                              unsigned iterations);
 
 /// Pull-based residual pagerank with structure-of-arrays node data
-/// (Fig. 3a "ls-soa").
+/// (Fig. 3a "ls-soa"): coeff and delta are gathered from two arrays.
 std::vector<double> pagerank_soa(const graph::Graph& graph,
                                  const graph::Graph& transpose,
                                  double damping, unsigned iterations);

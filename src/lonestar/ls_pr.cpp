@@ -21,9 +21,15 @@ using graph::Node;
  * in-neighbors along the transpose graph; because a vertex writes only
  * its own labels, no atomics are needed. The in-neighbor read touches
  * two fields of the neighbor (its delta and its damping/out-degree
- * coefficient): in the AoS layout they share a cache line, in the SoA
- * layout they live in separate arrays — the locality contrast behind
- * Fig. 3(a)'s ls vs ls-soa gap.
+ * coefficient): in the AoS layout they share one 16-byte struct, in
+ * the SoA layout they live in separate arrays — the locality contrast
+ * behind Fig. 3(a)'s ls vs ls-soa gap.
+ *
+ * Only the pulled pair (coeff, delta) lives in the gathered struct;
+ * the pulled mass (next_delta) and the ranks (also the result) have
+ * arrays of their own. Kept in the struct they would double the bytes
+ * gathered per in-edge, half of them unread, and on uk07-sized inputs
+ * push the gathered array out of L2 beside the streamed column ids.
  *
  * The recurrence matches synchronous power iteration exactly:
  *   rank_1     = base + damping * pull(rank_0 / deg)
@@ -33,6 +39,10 @@ using graph::Node;
  * the fold pass of the *previous* region wrote, and regions are
  * separated by the pool barrier, so the checker's epoch fence keeps
  * this clean. Within a region every write targets the owner's index.
+ * The checker shadows whole elements, so the pull's writes must not
+ * share an array with its neighbor reads: a next_delta field inside
+ * the gathered struct would make every owner write of node v conflict
+ * with another thread's read of v's (coeff, delta).
  */
 
 std::vector<double>
@@ -47,13 +57,13 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
 
     struct PrNode
     {
-        double coeff;      ///< damping / out-degree (0 for sinks)
-        double delta;      ///< previous round's rank change
-        double next_delta; ///< this round's pulled mass
-        double rank;
+        double coeff; ///< damping / out-degree (0 for sinks)
+        double delta; ///< previous round's rank change
     };
     graph::NodeData<PrNode> data(n, "pr:nodes");
-    metrics::charge_materialized(n * sizeof(PrNode));
+    graph::NodeData<double> next_delta(n, "pr:next_delta");
+    graph::NodeData<double> rank(n, "pr:rank");
+    metrics::charge_materialized(n * (sizeof(PrNode) + 2 * sizeof(double)));
 
     {
         check::RegionLabel label("pr:init");
@@ -66,8 +76,7 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
                     ? 0.0
                     : damping / static_cast<double>(degree);
                 node.delta = 1.0 / n;
-                node.next_delta = 0.0;
-                node.rank = 1.0 / n;
+                rank.set(v, 1.0 / n);
             }
             metrics::bump(metrics::kLabelWrites, range.size());
         });
@@ -79,7 +88,8 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
         metrics::bump(metrics::kRounds);
 
         // Fused pull pass: one loop over in-edges, reading the
-        // neighbor's (coeff, delta) pair.
+        // neighbor's (coeff, delta) pair. Every vertex's next_delta is
+        // overwritten here, so the fold never needs to reset it.
         check::RegionLabel pull_label("pr:pull");
         rt::do_all_blocked(n, [&](rt::Range range) {
             uint64_t edges = 0;
@@ -92,7 +102,7 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
                     const PrNode& u = data.at(transpose.edge_dst(e));
                     pulled += u.coeff * u.delta;
                 }
-                data.mut(v).next_delta = pulled;
+                next_delta.set(v, pulled);
                 edges += end - begin;
             }
             metrics::bump(metrics::kWorkItems, range.size());
@@ -107,25 +117,22 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
         check::RegionLabel fold_label("pr:fold");
         rt::do_all_blocked(n, [&](rt::Range range) {
             for (std::size_t v = range.begin; v < range.end; ++v) {
+                const double pulled = next_delta.at(v);
                 PrNode& node = data.mut(v);
                 if (first) {
-                    node.rank = base + node.next_delta;
-                    node.delta = node.rank - 1.0 / n;
+                    const double folded = base + pulled;
+                    rank.set(v, folded);
+                    node.delta = folded - 1.0 / n;
                 } else {
-                    node.rank += node.next_delta;
-                    node.delta = node.next_delta;
+                    rank.mut(v) += pulled;
+                    node.delta = pulled;
                 }
-                node.next_delta = 0.0;
             }
             metrics::bump(metrics::kWorkItems, range.size());
             metrics::bump(metrics::kLabelWrites, range.size());
         });
     }
-
-    std::vector<double> ranks(n);
-    check::RegionLabel out_label("pr:extract");
-    rt::do_all(n, [&](std::size_t v) { ranks[v] = data.at(v).rank; });
-    return ranks;
+    return rank.take();
 }
 
 std::vector<double>

@@ -263,7 +263,7 @@ TEST_F(CheckWorkloadTest, PagerankClean)
     EXPECT_EQ(check::race_count(), 0u) << check::report();
     ASSERT_EQ(aos.size(), soa.size());
     for (std::size_t i = 0; i < aos.size(); ++i) {
-        EXPECT_NEAR(aos[i], soa[i], 1e-12);
+        EXPECT_EQ(aos[i], soa[i]) << "vertex " << i;
     }
 }
 

@@ -333,7 +333,12 @@ TEST(GrbSimdTest, ScalarAndSimdPathsAgree)
     }
     Vector<uint32_t> w_simd;
     metrics::Interval interval;
-    mxv<PlusTimes<uint32_t>>(w_simd, kDefaultDesc, sell, u);
+    {
+        // Explicitly on, so a suite run under GAS_SIMD=0 still takes
+        // the vector path here.
+        EnvGuard on("GAS_SIMD", "1");
+        mxv<PlusTimes<uint32_t>>(w_simd, kDefaultDesc, sell, u);
+    }
     EXPECT_EQ(to_model(w_scalar), to_model(w_simd));
 
     if (simd::cpu_has_avx2()) {

@@ -153,9 +153,11 @@ TEST_P(LonestarTest, PagerankSoaMatchesAos)
     const auto transpose = graph::transpose(graph_);
     const auto aos = ls::pagerank(graph_, transpose, 0.85, 10);
     const auto soa = ls::pagerank_soa(graph_, transpose, 0.85, 10);
+    // Same products and sums in the same per-vertex order: the layouts
+    // must agree bit for bit, not just within rounding.
     ASSERT_EQ(aos.size(), soa.size());
     for (std::size_t i = 0; i < aos.size(); ++i) {
-        ASSERT_NEAR(aos[i], soa[i], 1e-12) << "vertex " << i;
+        ASSERT_EQ(aos[i], soa[i]) << "vertex " << i;
     }
 }
 
