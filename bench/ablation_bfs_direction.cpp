@@ -98,25 +98,26 @@ main()
         const auto transpose = graph::transpose(input.directed);
 
         grb::BackendScope scope(grb::Backend::kParallel);
-        const double gb = bench::timed_seconds(
-            config.reps, [&] { la::bfs(A, input.source); });
-        const double gb_pp = bench::timed_seconds(config.reps, [&] {
-            la::bfs_pushpull(A, At, input.source);
-        });
-        const double gb_fpush = bench::timed_seconds(config.reps, [&] {
+        // Every cell is the median of config.reps runs.
+        const auto timed = [&](auto&& fn) {
+            return bench::timed_seconds_median(config.reps, fn);
+        };
+        const double gb = timed([&] { la::bfs(A, input.source); });
+        const double gb_pp =
+            timed([&] { la::bfs_pushpull(A, At, input.source); });
+        const double gb_fpush = timed([&] {
             la::bfs_auto(A, At, input.source, grb::Direction::kPush);
         });
-        const double gb_fpull = bench::timed_seconds(config.reps, [&] {
+        const double gb_fpull = timed([&] {
             la::bfs_auto(A, At, input.source, grb::Direction::kPull);
         });
         const metrics::Interval auto_interval;
-        const double gb_auto = bench::timed_seconds(config.reps, [&] {
-            la::bfs_auto(A, At, input.source);
-        });
+        const double gb_auto =
+            timed([&] { la::bfs_auto(A, At, input.source); });
         const auto auto_counters = auto_interval.delta();
-        const double ls_push = bench::timed_seconds(
-            config.reps, [&] { ls::bfs(input.directed, input.source); });
-        const double ls_do = bench::timed_seconds(config.reps, [&] {
+        const double ls_push =
+            timed([&] { ls::bfs(input.directed, input.source); });
+        const double ls_do = timed([&] {
             ls::bfs_dirop(input.directed, transpose, input.source);
         });
 

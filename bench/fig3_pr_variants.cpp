@@ -34,18 +34,22 @@ main()
         const auto At = A.transpose();
         const auto transpose = graph::transpose(input.directed);
 
-        const double gb = bench::timed_seconds(config.reps, [&] {
+        // Every cell is the median of config.reps runs.
+        const auto timed = [&](auto&& fn) {
+            return bench::timed_seconds_median(config.reps, fn);
+        };
+        const double gb = timed([&] {
             grb::BackendScope scope(grb::Backend::kParallel);
             la::pagerank(A, At, kDamping, kIters);
         });
-        const double gb_res = bench::timed_seconds(config.reps, [&] {
+        const double gb_res = timed([&] {
             grb::BackendScope scope(grb::Backend::kParallel);
             la::pagerank_residual(A, At, kDamping, kIters);
         });
-        const double ls_soa = bench::timed_seconds(config.reps, [&] {
+        const double ls_soa = timed([&] {
             ls::pagerank_soa(input.directed, transpose, kDamping, kIters);
         });
-        const double ls_aos = bench::timed_seconds(config.reps, [&] {
+        const double ls_aos = timed([&] {
             ls::pagerank(input.directed, transpose, kDamping, kIters);
         });
 

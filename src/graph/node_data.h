@@ -15,7 +15,9 @@
  *    region (owner-computes loops, sequential phases);
  *  - load()/store()/compare_exchange*() are *atomic* accesses, the
  *    std::atomic_ref idiom of the asynchronous operators; they never
- *    conflict with each other, only with plain accesses.
+ *    conflict with each other, only with plain accesses;
+ *  - view() returns a copyable handle with the same checked atomic
+ *    load()/compare_exchange(), for hot loops that keep it in a local.
  *
  * In unchecked builds ShadowArray::record() is an empty inline
  * function, so each accessor compiles down to the bare array access
@@ -128,6 +130,56 @@ class NodeData
             expected, desired, order,
             std::memory_order_relaxed);
     }
+
+    /**
+     * Copyable handle with the atomic accessors, for hot loops that
+     * copy what they read into locals (see view()). Same recording as
+     * load()/compare_exchange() on the wrapper.
+     */
+    class View
+    {
+      public:
+        /// Atomic load.
+        T
+        load(std::size_t i,
+             std::memory_order order = std::memory_order_relaxed) const
+        {
+            shadow_->record(i, check::Access::kAtomicRead);
+            return std::atomic_ref<T>(data_[i]).load(order);
+        }
+
+        /// Atomic compare-exchange (strong).
+        bool
+        compare_exchange(
+            std::size_t i, T& expected, const T& desired,
+            std::memory_order order = std::memory_order_relaxed) const
+        {
+            shadow_->record(i, check::Access::kAtomicRmw);
+            return std::atomic_ref<T>(data_[i]).compare_exchange_strong(
+                expected, desired, order, std::memory_order_relaxed);
+        }
+
+      private:
+        friend class NodeData;
+
+        View(T* data, const check::ShadowArray* shadow)
+            : data_(data), shadow_(shadow)
+        {
+        }
+
+        T* data_;
+        // Never dereferenced in unchecked builds (record() is empty),
+        // so the optimizer drops it there.
+        const check::ShadowArray* shadow_;
+    };
+
+    /// Atomic-access handle for a hot loop. A loop that calls load()
+    /// through a by-reference capture of the wrapper reloads its data
+    /// pointer after every store that may alias it (a bag push, a
+    /// counter bump); a local copy of the view lets it stay in a
+    /// register. Valid until the wrapper is destroyed, moved from or
+    /// emptied by take().
+    View view() { return View(data_.data(), &shadow_); }
 
     /// Unchecked view for sequential post-processing (result copies,
     /// verification) outside any parallel region.

@@ -1,6 +1,7 @@
 #include "lonestar/lonestar.h"
 
 #include <atomic>
+#include <span>
 
 #include "check/shadow.h"
 #include "graph/node_data.h"
@@ -56,24 +57,37 @@ bfs(const Graph& graph, Node source)
         // distances, and build the next worklist in a single pass —
         // the composite operator a matrix API needs three calls for.
         // Neighbor labels are shared between concurrent operators, so
-        // every access goes through the atomic accessors.
-        // Counters are tallied per vertex, never per edge.
-        curr->parallel_apply([&](Node u) {
-            const EdgeIdx begin = graph.edge_begin(u);
-            const EdgeIdx end = graph.edge_end(u);
+        // every access goes through the atomic accessors. Each piece
+        // of the frontier first copies the CSR arrays, the level and
+        // the label handle into locals: read through the closure's
+        // by-reference captures they would be reloaded after every
+        // bag push and label CAS. Counters are tallied per piece.
+        curr->parallel_apply_spans([&](std::span<const Node> frontier) {
+            const EdgeIdx* const row = graph.row_ptr().data();
+            const Node* const col = graph.col().data();
+            const uint32_t round_level = level;
+            const auto labels = dist.view();
+            rt::InsertBag<Node>& out = *next;
+            uint64_t edges = 0;
             uint64_t claimed = 0;
-            for (EdgeIdx e = begin; e < end; ++e) {
-                const Node v = graph.edge_dst(e);
-                uint32_t expected = kUnreachedLevel;
-                if (dist.load(v) == kUnreachedLevel &&
-                    dist.compare_exchange(v, expected, level)) {
-                    ++claimed;
-                    next->push(v);
+            for (const Node u : frontier) {
+                const EdgeIdx begin = row[u];
+                const EdgeIdx end = row[u + 1];
+                for (EdgeIdx e = begin; e < end; ++e) {
+                    const Node v = col[e];
+                    uint32_t expected = kUnreachedLevel;
+                    if (labels.load(v) == kUnreachedLevel &&
+                        labels.compare_exchange(v, expected,
+                                                round_level)) {
+                        ++claimed;
+                        out.push(v);
+                    }
                 }
+                edges += end - begin;
             }
-            metrics::bump(metrics::kWorkItems);
-            metrics::bump(metrics::kEdgeVisits, end - begin);
-            metrics::bump(metrics::kLabelReads, end - begin);
+            metrics::bump(metrics::kWorkItems, frontier.size());
+            metrics::bump(metrics::kEdgeVisits, edges);
+            metrics::bump(metrics::kLabelReads, edges);
             metrics::bump(metrics::kLabelWrites, claimed);
         });
     }

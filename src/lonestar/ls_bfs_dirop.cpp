@@ -1,6 +1,7 @@
 #include "lonestar/lonestar.h"
 
 #include <atomic>
+#include <span>
 
 #include "metrics/counters.h"
 #include "runtime/insert_bag.h"
@@ -68,67 +69,96 @@ bfs_dirop(const Graph& graph, const Graph& transpose, Node source,
             bottom_up = false;
         }
 
+        // Both steps copy the CSR arrays, the labels and the levels
+        // into locals per block (as ls::bfs does), so the edge loops
+        // read no pointer through the closure, and tally their
+        // counters per block.
         rt::Accumulator<uint64_t> next_edges;
         if (bottom_up) {
             // Pull: every unvisited vertex probes its in-neighbors and
             // stops at the first one on the current level.
-            const uint32_t parent_level = level - 1;
-            rt::do_all(n, [&](std::size_t vi) {
-                const Node v = static_cast<Node>(vi);
-                if (dist[v] != kUnreachedLevel) {
-                    return;
-                }
-                metrics::bump(metrics::kWorkItems);
-                const EdgeIdx begin = transpose.edge_begin(v);
-                const EdgeIdx end = transpose.edge_end(v);
-                EdgeIdx e = begin;
-                bool found = false;
-                for (; e < end; ++e) {
-                    // Neighbor labels are written concurrently by their
-                    // own threads (line below); relaxed atomics keep
-                    // the probe race-free. Only level-(parent_level)
-                    // parents can satisfy the probe, so the weak
-                    // ordering cannot admit a wrong level.
-                    const Node parent = transpose.edge_dst(e);
-                    if (std::atomic_ref<uint32_t>(dist[parent])
-                            .load(std::memory_order_relaxed) ==
-                        parent_level) {
-                        std::atomic_ref<uint32_t>(dist[v]).store(
-                            level, std::memory_order_relaxed);
-                        next->push(v);
-                        next_edges += graph.out_degree(v);
-                        found = true;
-                        ++e; // the hit was probed too
-                        break; // early exit: the fused-loop advantage
+            rt::do_all_blocked(n, [&](rt::Range range) {
+                const EdgeIdx* const in_row = transpose.row_ptr().data();
+                const Node* const in_col = transpose.col().data();
+                const EdgeIdx* const out_row = graph.row_ptr().data();
+                uint32_t* const labels = dist.data();
+                const uint32_t round_level = level;
+                const uint32_t parent_level = level - 1;
+                rt::InsertBag<Node>& out = *next;
+                uint64_t probed = 0;
+                uint64_t unvisited = 0;
+                uint64_t found = 0;
+                uint64_t found_edges = 0;
+                for (std::size_t vi = range.begin; vi < range.end; ++vi) {
+                    const Node v = static_cast<Node>(vi);
+                    if (labels[v] != kUnreachedLevel) {
+                        continue;
                     }
+                    ++unvisited;
+                    const EdgeIdx begin = in_row[v];
+                    const EdgeIdx end = in_row[v + 1];
+                    EdgeIdx e = begin;
+                    for (; e < end; ++e) {
+                        // Neighbor labels are written concurrently by
+                        // their own threads (line below); relaxed
+                        // atomics keep the probe race-free. Only
+                        // level-(parent_level) parents can satisfy the
+                        // probe, so the weak ordering cannot admit a
+                        // wrong level.
+                        const Node parent = in_col[e];
+                        if (std::atomic_ref<uint32_t>(labels[parent])
+                                .load(std::memory_order_relaxed) ==
+                            parent_level) {
+                            std::atomic_ref<uint32_t>(labels[v]).store(
+                                round_level, std::memory_order_relaxed);
+                            out.push(v);
+                            ++found;
+                            found_edges += out_row[v + 1] - out_row[v];
+                            ++e; // the hit was probed too
+                            break; // early exit: the fused-loop advantage
+                        }
+                    }
+                    probed += e - begin;
                 }
-                metrics::bump(metrics::kEdgeVisits, e - begin);
-                metrics::bump(metrics::kLabelReads, e - begin);
-                if (found) {
-                    metrics::bump(metrics::kLabelWrites);
-                }
+                next_edges += found_edges;
+                metrics::bump(metrics::kWorkItems, unvisited);
+                metrics::bump(metrics::kEdgeVisits, probed);
+                metrics::bump(metrics::kLabelReads, probed);
+                metrics::bump(metrics::kLabelWrites, found);
             });
         } else {
-            curr->parallel_apply([&](Node u) {
-                const EdgeIdx begin = graph.edge_begin(u);
-                const EdgeIdx end = graph.edge_end(u);
+            curr->parallel_apply_spans([&](std::span<const Node> frontier) {
+                const EdgeIdx* const row = graph.row_ptr().data();
+                const Node* const col = graph.col().data();
+                uint32_t* const labels = dist.data();
+                const uint32_t round_level = level;
+                rt::InsertBag<Node>& out = *next;
+                uint64_t edges = 0;
                 uint64_t claimed = 0;
-                for (EdgeIdx e = begin; e < end; ++e) {
-                    const Node v = graph.edge_dst(e);
-                    std::atomic_ref<uint32_t> dst(dist[v]);
-                    uint32_t expected = kUnreachedLevel;
-                    if (dst.load(std::memory_order_relaxed) ==
-                            kUnreachedLevel &&
-                        dst.compare_exchange_strong(
-                            expected, level, std::memory_order_relaxed)) {
-                        ++claimed;
-                        next->push(v);
-                        next_edges += graph.out_degree(v);
+                uint64_t claimed_edges = 0;
+                for (const Node u : frontier) {
+                    const EdgeIdx begin = row[u];
+                    const EdgeIdx end = row[u + 1];
+                    for (EdgeIdx e = begin; e < end; ++e) {
+                        const Node v = col[e];
+                        std::atomic_ref<uint32_t> dst(labels[v]);
+                        uint32_t expected = kUnreachedLevel;
+                        if (dst.load(std::memory_order_relaxed) ==
+                                kUnreachedLevel &&
+                            dst.compare_exchange_strong(
+                                expected, round_level,
+                                std::memory_order_relaxed)) {
+                            ++claimed;
+                            out.push(v);
+                            claimed_edges += row[v + 1] - row[v];
+                        }
                     }
+                    edges += end - begin;
                 }
-                metrics::bump(metrics::kWorkItems);
-                metrics::bump(metrics::kEdgeVisits, end - begin);
-                metrics::bump(metrics::kLabelReads, end - begin);
+                next_edges += claimed_edges;
+                metrics::bump(metrics::kWorkItems, frontier.size());
+                metrics::bump(metrics::kEdgeVisits, edges);
+                metrics::bump(metrics::kLabelReads, edges);
                 metrics::bump(metrics::kLabelWrites, claimed);
             });
         }

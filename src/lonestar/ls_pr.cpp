@@ -175,6 +175,8 @@ pagerank_soa(const Graph& graph, const Graph& transpose, double damping,
         trace::Span round(trace::Category::kRound, "round", iter);
         metrics::bump(metrics::kRounds);
 
+        // Every vertex's next_delta is overwritten here, so the fold
+        // never needs to reset it (as in the AoS variant).
         check::RegionLabel pull_label("pr:pull");
         rt::do_all_blocked(n, [&](rt::Range range) {
             uint64_t edges = 0;
@@ -208,7 +210,6 @@ pagerank_soa(const Graph& graph, const Graph& transpose, double damping,
                     rank.mut(v) += next_delta.at(v);
                     delta.set(v, next_delta.at(v));
                 }
-                next_delta.set(v, 0.0);
             }
             // Two label writes (rank, delta) per vertex.
             metrics::bump(metrics::kWorkItems, range.size());

@@ -116,6 +116,45 @@ TEST_F(CheckTest, PlainWriteVsAtomicReadFlagged)
     EXPECT_GE(check::race_count(), 1u);
 }
 
+TEST_F(CheckTest, ViewAccessesRecordLikeTheWrapper)
+{
+    // A hot loop's local copy of the view must keep the recording: its
+    // atomic load and CAS still conflict with another thread's plain
+    // write of the same element in the same region, and never with
+    // each other.
+    graph::NodeData<uint32_t> data(4, "test:view");
+    const auto view = data.view();
+    rt::on_each([&](unsigned tid, unsigned) {
+        if (tid == 0) {
+            data.set(0, 1);
+        } else {
+            (void)view.load(0);
+        }
+    });
+    ASSERT_GE(check::race_count(), 1u);
+    EXPECT_STREQ(check::races().front().array_name, "test:view");
+    EXPECT_EQ(check::races().front().index, 0u);
+
+    check::clear();
+    rt::on_each([&](unsigned tid, unsigned) {
+        if (tid == 0) {
+            data.set(1, 1);
+        } else {
+            uint32_t expected = 0;
+            (void)view.compare_exchange(1, expected, tid);
+        }
+    });
+    ASSERT_GE(check::race_count(), 1u);
+    EXPECT_EQ(check::races().front().index, 1u);
+
+    check::clear();
+    rt::on_each([&](unsigned tid, unsigned) {
+        uint32_t expected = view.load(2);
+        (void)view.compare_exchange(2, expected, tid);
+    });
+    EXPECT_EQ(check::race_count(), 0u) << check::report();
+}
+
 TEST_F(CheckTest, PlainReadersOnlyClean)
 {
     graph::NodeData<uint32_t> data(4, 7u, "test:readers");
@@ -437,8 +476,14 @@ TEST_F(CheckTest, NodeDataBasicSemantics)
     EXPECT_FALSE(data.compare_exchange(3, expected, 10));
     EXPECT_EQ(expected, 9u);
     EXPECT_EQ(data.vec()[3], 9u);
+    const auto view = data.view();
+    EXPECT_EQ(view.load(3), 9u);
+    EXPECT_TRUE(view.compare_exchange(3, expected, 12));
+    EXPECT_FALSE(view.compare_exchange(3, expected, 13));
+    EXPECT_EQ(expected, 12u);
+    EXPECT_EQ(data.get(3), 12u);
     const std::vector<uint64_t> out = data.take();
-    EXPECT_EQ(out[3], 9u);
+    EXPECT_EQ(out[3], 12u);
 }
 
 } // namespace

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
 #include "lonestar/lonestar.h"
+#include "metrics/counters.h"
 #include "runtime/thread_pool.h"
 #include "verify/reference.h"
 
@@ -214,6 +219,62 @@ INSTANTIATE_TEST_SUITE_P(GraphsAndThreads, LonestarTest,
                              return info.param.fixture.name + "_t" +
                                  std::to_string(info.param.threads);
                          });
+
+/// The four counters both bfs loops tally per frontier piece.
+std::array<uint64_t, 4>
+bfs_counters(const metrics::Interval& interval)
+{
+    const metrics::Snapshot delta = interval.delta();
+    return {delta[metrics::kWorkItems], delta[metrics::kEdgeVisits],
+            delta[metrics::kLabelReads], delta[metrics::kLabelWrites]};
+}
+
+// The bfs loops tally their counters once per frontier piece (or block
+// of the pull step), and the pieces follow the thread count: the
+// levels and the counter totals must not.
+TEST(LonestarBfsPieces, LevelsAndCountersEqualAcrossThreadCounts)
+{
+    // bfs_dirop (alpha, beta): the defaults; pull and push rounds
+    // alternating (a huge alpha pulls whenever the frontier has an
+    // edge, beta 1 returns to push whenever it is not the whole
+    // graph); push only.
+    constexpr std::array<std::pair<unsigned, unsigned>, 3> kHeuristics = {
+        {{15, 18}, {1u << 30, 1}, {0, 1}}};
+    for (const auto& fixture : fixtures()) {
+        Graph graph = Graph::from_edge_list(fixture.list, true);
+        graph.sort_adjacencies();
+        const Graph transpose = graph::transpose(graph);
+        const Node source = graph::highest_degree_node(graph);
+        const auto expected = verify::bfs_levels(graph, source);
+
+        std::vector<std::array<uint64_t, 4>> at_one_thread;
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(fixture.name + " t" + std::to_string(threads));
+            rt::set_num_threads(threads);
+            std::vector<std::array<uint64_t, 4>> totals;
+
+            const metrics::Interval push;
+            EXPECT_EQ(ls::bfs(graph, source), expected);
+            totals.push_back(bfs_counters(push));
+            for (const auto& [alpha, beta] : kHeuristics) {
+                const metrics::Interval dirop;
+                EXPECT_EQ(ls::bfs_dirop(graph, transpose, source, alpha,
+                                        beta),
+                          expected)
+                    << "alpha " << alpha << " beta " << beta;
+                totals.push_back(bfs_counters(dirop));
+            }
+
+            if (threads == 1) {
+                at_one_thread = totals;
+                EXPECT_GT(totals.front()[1], 0u);
+            } else {
+                EXPECT_EQ(totals, at_one_thread);
+            }
+        }
+    }
+    rt::set_num_threads(4);
+}
 
 } // namespace
 } // namespace gas
